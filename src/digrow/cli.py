@@ -9,16 +9,15 @@ battery).  Exit codes: 0 success, 1 invalid input, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
 import random
 import sys
 from fractions import Fraction
 
-from .element import DiElement, QQ, PrimeField, axiom_residuals, parse_element
+from .element import DiElement, QQ, axiom_residuals, parse_element, parse_field
 from .errors import ParseError, ResourceCapExceeded
 from .growth import (
+    MAX_IDENTITY_PAIRS,
+    GrowthSeries,
     gap_check,
     gk_estimate,
     growth_series,
@@ -30,8 +29,10 @@ from .monomial import Alphabet
 from .presentation import (
     ASSOCIATIVE,
     DIALGEBRA,
+    SCHEME_TAGS,
     Presentation,
     basis_upto,
+    canonical_json,
     normal_form,
     prefix_suffix_check,
 )
@@ -46,20 +47,6 @@ UNFORCED_DEGREE_CAP = 12
 
 
 #### presentation files
-
-
-def parse_field_line(tokens, line):
-    if tokens == ["Q"]:
-        return QQ
-    if len(tokens) == 2 and tokens[0] == "gf":
-        if not tokens[1].isdigit():
-            raise ParseError(f"expected a prime after gf, got {tokens[1]!r}", line, 7)
-        p = int(tokens[1])
-        try:
-            return PrimeField(p)
-        except ValueError as exc:
-            raise ParseError(str(exc), line, 7) from None
-    raise ParseError("expected Q or gf <prime>", line, 7)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -85,7 +72,10 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError("field must come before generators", lineno, col)
             if field is not None:
                 raise ParseError("duplicate field line", lineno, col)
-            field = parse_field_line(rest.split(), lineno)
+            try:
+                field = parse_field(rest)
+            except ParseError as exc:
+                raise ParseError(exc.message, lineno, exc.column) from None
         elif head == "generators":
             if alphabet is not None:
                 raise ParseError("duplicate generators line", lineno, col)
@@ -109,7 +99,7 @@ def parse_presentation(text: str) -> Presentation:
             if alphabet is None:
                 raise ParseError("idrel before generators", lineno, col)
             tag = rest.strip()
-            if tag not in ("lcomm", "rcomm", "cross"):
+            if tag not in SCHEME_TAGS:
                 raise ParseError(f"unknown identity scheme {tag!r}", lineno, col + 6)
             if tag in schemes:
                 raise ParseError(f"duplicate identity scheme {tag!r}", lineno, col + 6)
@@ -192,15 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _check_threads_env():
-    raw = os.environ.get("DIGROW_THREADS")
-    if raw is None:
-        return
-    if not raw.isdigit() or int(raw) < 1:
-        raise ValueError(f"DIGROW_THREADS must be a positive integer, got {raw!r}")
-    # the engine is sequential; any positive cap is honored trivially
-
-
 def _enforce_degree_cap(args, pres):
     if (
         args.max_degree > UNFORCED_DEGREE_CAP
@@ -223,10 +204,6 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 #### verbs
 
 
@@ -241,7 +218,7 @@ def cmd_nf(args) -> int:
     table = basis_upto(pres, args.max_degree, _mode_of(args), args.slack)
     nf = normal_form(x, table)
     if args.format == "json":
-        _emit(args, _json({
+        _emit(args, canonical_json({
             "input": x.format(),
             "normal_form": nf.format(),
             "mode": table.mode,
@@ -260,7 +237,7 @@ def cmd_basis(args) -> int:
     _enforce_degree_cap(args, pres)
     table = basis_upto(pres, args.max_degree, _mode_of(args), args.slack)
     if args.format == "json":
-        _emit(args, _json(table.to_json_dict()))
+        _emit(args, table.to_json())
     elif args.format == "csv":
         raise ParseError("csv format applies to the growth verb only")
     else:
@@ -357,8 +334,8 @@ def cmd_verify(args) -> int:
 
     table_d = basis_upto(pres, n, DIALGEBRA, args.slack)
     table_a = basis_upto(pres, n, ASSOCIATIVE, args.slack)
-    series_d = growth_series(pres, n, DIALGEBRA, args.slack)
-    series_a = growth_series(pres, n, ASSOCIATIVE, args.slack)
+    series_d = GrowthSeries.from_table(table_d)
+    series_a = GrowthSeries.from_table(table_a)
 
     ta = theorem_a_check(series_d, series_a, pres.alphabet.size)
     if ta.ok:
@@ -382,13 +359,16 @@ def cmd_verify(args) -> int:
     else:
         report("INFO", "no middle bound m found")
 
-    ic = identity_class_check(pres, table_d)
+    ic = identity_class_check(pres, table_d, MAX_IDENTITY_PAIRS)
     declared_broken = [tag for tag in pres.schemes if not ic.holds[tag]]
     if declared_broken:
         report("FAIL", f"declared schemes fail in their own quotient: {declared_broken}")
     else:
         held = [tag for tag, h in ic.holds.items() if h]
         report("PASS", f"identity scan ({ic.pairs_checked} pairs): holding = {held or 'none'}")
+    if not ic.exhaustive:
+        report("WARN", f"identity scan capped at {MAX_IDENTITY_PAIRS} pairs per identity; "
+                       "no prediction drawn")
     for pred in ic.predictions:
         report("INFO", pred)
 
@@ -426,7 +406,7 @@ def cmd_verify(args) -> int:
             "estimates": [e.to_json_dict() for e in ests],
             "slope_ratio": slope_ratio,
         }
-        _emit(args, _json(payload))
+        _emit(args, canonical_json(payload))
     elif args.format == "csv":
         raise ParseError("csv format applies to the growth verb only")
     else:
@@ -447,7 +427,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_threads_env()
         return _VERBS[args.verb](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID

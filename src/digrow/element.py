@@ -133,13 +133,21 @@ class PrimeField:
 
 
 def parse_field(spec: str):
-    """Field from its textual name: "Q", or "gf <prime>"."""
+    """Field from its textual name: "Q", or "gf <prime>".
+
+    Errors point at column 7, where the name starts on a "field" line.
+    """
     parts = spec.split()
     if parts == ["Q"]:
         return QQ
-    if len(parts) == 2 and parts[0] == "gf" and parts[1].isdigit():
-        return PrimeField(int(parts[1]))
-    raise ValueError(f"unknown field {spec!r}")
+    if len(parts) == 2 and parts[0] == "gf":
+        if not parts[1].isdigit():
+            raise ParseError(f"expected a prime after gf, got {parts[1]!r}", column=7)
+        try:
+            return PrimeField(int(parts[1]))
+        except ValueError as exc:
+            raise ParseError(str(exc), column=7) from None
+    raise ParseError("expected Q or gf <prime>", column=7)
 
 
 #### elements ###############################################################

@@ -11,20 +11,21 @@ generating-set condition, and the three two-variable product identities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from statistics import linear_regression
 
 from .element import DiElement
-from .monomial import lprod, rprod
 from .presentation import (
     ASSOCIATIVE,
     DIALGEBRA,
+    SCHEME_TAGS,
     BasisTable,
     Presentation,
     basis_upto,
+    canonical_json,
     normal_form,
+    scheme_pair,
 )
 
 # classification thresholds; the gap band sits strictly inside (1, 2)
@@ -35,6 +36,9 @@ STABLE_RESIDUAL = 0.02
 # series clear it even at small N, where only the last one or two ratios
 # beat the threshold inflated by the window-fitted slope
 DOUBLING_SUFFIX_FRACTION = 0.10
+
+# identity scan budget: pairs tried per identity before the scan gives up
+MAX_IDENTITY_PAIRS = 50000
 
 BOUNDED = "bounded"
 POLYNOMIAL = "polynomial"
@@ -88,6 +92,18 @@ class GrowthSeries:
             prev = c
         return cls(tuple(per), cum, mode, fingerprint, exact, tuple(warnings))
 
+    @classmethod
+    def from_table(cls, table: BasisTable) -> GrowthSeries:
+        """The series of an existing table, without saturating again."""
+        warnings = ()
+        if not table.exact:
+            warnings = (
+                f"approximate: lower-bound ideal / upper-bound basis (slack {table.slack})",
+            )
+        return cls.from_per_degree(
+            table.counts_by_degree(), table.mode, table.fingerprint, table.exact, warnings
+        )
+
     @property
     def degree_bound(self) -> int:
         return len(self.per_degree)
@@ -118,22 +134,13 @@ class GrowthSeries:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_json_dict())
 
 
 def growth_series(pres: Presentation, N: int, mode: str = DIALGEBRA,
                   slack: int | None = None, max_universe=None) -> GrowthSeries:
     """Filtered dimension counts of the quotient presented by pres."""
-    table = basis_upto(pres, N, mode, slack, max_universe)
-    per = tuple(table.counts_by_degree())
-    warnings = ()
-    if not table.exact:
-        warnings = (
-            f"approximate: lower-bound ideal / upper-bound basis (slack {table.slack})",
-        )
-    return GrowthSeries.from_per_degree(
-        per, table.mode, table.fingerprint, table.exact, warnings
-    )
+    return GrowthSeries.from_table(basis_upto(pres, N, mode, slack, max_universe))
 
 
 # ===== the estimator =======================================================
@@ -163,7 +170,7 @@ class GkEstimate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_json_dict())
 
 
 def default_window(N: int) -> tuple[int, int]:
@@ -374,13 +381,18 @@ def special_basis_check(table_d: BasisTable) -> SpecialBasisReport:
 
 @dataclass(frozen=True)
 class IdentityClassReport:
-    """Which of the three product identities the quotient satisfies."""
+    """Which of the three product identities the quotient satisfies.
+
+    exhaustive is False when some identity ran into the pair cap before it
+    finished or found a witness; such a scan draws no prediction.
+    """
 
     holds: dict
     witnesses: dict
     verified_degree: int
     pairs_checked: int
     predictions: tuple[str, ...]
+    exhaustive: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -393,7 +405,7 @@ class IdentityClassReport:
 
 
 def identity_class_check(pres: Presentation, table_d: BasisTable,
-                         max_pairs: int = 50000) -> IdentityClassReport:
+                         max_pairs: int = MAX_IDENTITY_PAIRS) -> IdentityClassReport:
     """Test x|-y = y|-x, x-|y = y-|x and x|-y = y-|x on basis-monomial pairs.
 
     Pairs range over basis monomials with total length within the table's
@@ -405,23 +417,14 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
         raise ValueError("needs a dialgebra-mode table")
     n = table_d.degree_bound
     basis = table_d.basis
-    alphabet, field = table_d.alphabet, table_d.field
-    holds = {"lcomm": True, "rcomm": True, "cross": True}
+    field = table_d.field
+    one, minus = field.one, field.neg(field.one)
+    holds = {tag: True for tag in SCHEME_TAGS}
     witnesses: dict = {}
     pairs_checked = 0
+    exhaustive = True
 
-    def instance(tag, u, v):
-        if tag == "lcomm":
-            m1, m2 = lprod(u, v), lprod(v, u)
-        elif tag == "rcomm":
-            m1, m2 = rprod(u, v), rprod(v, u)
-        else:
-            m1, m2 = lprod(u, v), rprod(v, u)
-        if m1 == m2:
-            return None
-        return DiElement(alphabet, field, {m1: field.one, m2: field.neg(field.one)}, _clean=True)
-
-    for tag in ("lcomm", "rcomm", "cross"):
+    for tag in SCHEME_TAGS:
         seen = 0
         done = False
         for i, u in enumerate(basis):
@@ -433,12 +436,14 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
                 if len(u.word) + len(v.word) > n:
                     continue
                 if seen >= max_pairs:
+                    exhaustive = False
                     done = True
                     break
                 seen += 1
-                x = instance(tag, u, v)
-                if x is None:
+                m1, m2 = scheme_pair(tag, u, v)
+                if m1 == m2:
                     continue
+                x = DiElement(table_d.alphabet, field, {m1: one, m2: minus}, _clean=True)
                 if not normal_form(x, table_d).is_zero:
                     holds[tag] = False
                     witnesses[tag] = f"{u.format()}, {v.format()}"
@@ -446,10 +451,12 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
                     break
         pairs_checked += seen
 
+    if not exhaustive:
+        return IdentityClassReport(holds, witnesses, n, pairs_checked, (), False)
     predictions = []
     names = {"lcomm": "x|-y = y|-x", "rcomm": "x-|y = y-|x", "cross": "x|-y = y-|x"}
     k = table_d.alphabet.size
-    for tag in ("lcomm", "rcomm", "cross"):
+    for tag in SCHEME_TAGS:
         if holds[tag]:
             predictions.append(
                 f"{names[tag]} holds through degree {n}: "
@@ -458,4 +465,4 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
     if holds["lcomm"] and holds["rcomm"] and not pres.relators and \
             {"lcomm", "rcomm"} <= set(pres.schemes):
         predictions.append(f"free commutative quotient: GK = {k}")
-    return IdentityClassReport(holds, witnesses, n, pairs_checked, tuple(predictions))
+    return IdentityClassReport(holds, witnesses, n, pairs_checked, tuple(predictions), True)

@@ -51,6 +51,32 @@ def _norm_mode(mode: str) -> str:
     raise ValueError(f"mode must be dialgebra or associative, got {mode!r}")
 
 
+def canonical_json(payload) -> str:
+    """Byte-deterministic JSON: sorted keys, no spaces, one trailing newline."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def scheme_pair(tag: str, u: Disequence, v: Disequence) -> tuple[Disequence, Disequence]:
+    """The monomials (m1, m2) that the identity scheme tag equates on (u, v)."""
+    if tag == "lcomm":
+        return lprod(u, v), lprod(v, u)
+    if tag == "rcomm":
+        return rprod(u, v), rprod(v, u)
+    return lprod(u, v), rprod(v, u)
+
+
+def _universe_upto(alphabet: Alphabet, n: int, associative: bool) -> int:
+    """How many monomials of length 1..n exist in the given mode."""
+    return sum(universe_count(alphabet.size, t, associative) for t in range(1, n + 1))
+
+
+def _row_element(alphabet: Alphabet, field, piv: Disequence, tail: dict) -> DiElement:
+    """The monic row piv + tail as an element."""
+    full = dict(tail)
+    full[piv] = field.one
+    return DiElement(alphabet, field, full, _clean=True)
+
+
 # ===== presentations =======================================================
 
 
@@ -140,33 +166,19 @@ def associated_associative(pres: Presentation) -> Presentation:
     return Presentation(pres.alphabet, pres.field, tuple(collapsed), pres.schemes, pres.slack)
 
 
-def _mode_relators(pres: Presentation, mode: str) -> tuple[DiElement, ...]:
-    if mode == DIALGEBRA:
-        return pres.relators
-    out = []
-    for r in pres.relators:
-        c = collapse_middle(r)
-        if not c.is_zero:
-            out.append(c)
-    return tuple(out)
-
-
-def _effective_slack(relators, requested: int | None, explicit: int | None) -> int:
-    """Slack policy: explicit call argument wins, homogeneous input needs 0,
-    otherwise the file value, otherwise the maximal term-length spread."""
+def _effective_slack(q: Presentation, explicit: int | None) -> int:
+    """Slack policy on the presentation a mode works on: explicit call
+    argument wins, homogeneous input needs 0, otherwise the file value,
+    otherwise the maximal term-length spread."""
     if explicit is not None:
         if explicit < 0:
             raise ValueError("slack must be nonnegative")
         return explicit
-    if all(r.is_homogeneous() for r in relators):
+    if q.homogeneous:
         return 0
-    if requested is not None:
-        return requested
-    spread = 0
-    for r in relators:
-        lengths = [len(m.word) for m in r.terms]
-        spread = max(spread, max(lengths) - min(lengths))
-    return spread
+    if q.slack is not None:
+        return q.slack
+    return q.length_spread()
 
 
 # ===== reduction against monic rows ========================================
@@ -260,11 +272,6 @@ class _Echelon:
                         tails[m].discard(q)
         return piv
 
-    def row_element(self, piv: Disequence, alphabet: Alphabet) -> DiElement:
-        full = dict(self.rows[piv])
-        full[piv] = self.field.one
-        return DiElement(alphabet, self.field, full, _clean=True)
-
 
 def echelonize(elements) -> list[DiElement]:
     """Gaussian elimination keyed by the monomial order.
@@ -287,7 +294,7 @@ def echelonize(elements) -> list[DiElement]:
     if alphabet is None:
         return []
     pivots = sorted(ech.rows, key=_SORT_KEY, reverse=True)
-    return [ech.row_element(p, alphabet) for p in pivots]
+    return [_row_element(alphabet, ech.field, p, ech.rows[p]) for p in pivots]
 
 
 # ===== saturation ==========================================================
@@ -296,29 +303,26 @@ def echelonize(elements) -> list[DiElement]:
 class _Saturator:
     """Degree-bucketed closure of the ideal span up to a length cap."""
 
-    def __init__(self, alphabet, field, relators, schemes, cap, associative, max_universe):
-        self.alphabet = alphabet
-        self.field = field
-        self.schemes = tuple(schemes)
+    def __init__(self, pres: Presentation, cap: int, associative: bool, max_universe: int):
+        self.alphabet = pres.alphabet
+        self.field = pres.field
+        self.schemes = pres.schemes
         self.cap = cap
         self.associative = associative
-        self.ech = _Echelon(field)
-        self.gens = alphabet.generators()
+        self.ech = _Echelon(pres.field)
+        self.gens = pres.alphabet.generators()
         self._universe: dict[int, list] = {}
 
-        if relators or schemes:
-            total = sum(
-                universe_count(alphabet.size, t, associative) for t in range(1, cap + 1)
+        total = _universe_upto(pres.alphabet, cap, associative)
+        if total > max_universe:
+            raise ResourceCapExceeded(
+                f"elimination up to degree {cap} would touch {total} monomials "
+                f"(cap {max_universe}); lower the degree or raise the cap"
             )
-            if total > max_universe:
-                raise ResourceCapExceeded(
-                    f"elimination up to degree {cap} would touch {total} monomials "
-                    f"(cap {max_universe}); lower the degree or raise the cap"
-                )
 
         self.pending: list[list] = [[] for _ in range(cap + 2)]
         self.instantiated = [False] * (cap + 2)
-        for r in relators:
+        for r in pres.relators:
             terms = dict(r.terms)
             top = max(len(m.word) for m in terms)
             if top <= cap:
@@ -349,7 +353,8 @@ class _Saturator:
         one = self.field.one
         minus = self.field.neg(one)
         bucket = self.pending[total]
-        assoc = self.associative
+        # associative mode reads every scheme as plain commutativity
+        tags = ("rcomm",) if self.associative else [t for t in self.schemes if t != "cross"]
         for l1 in range(1, total // 2 + 1):
             l2 = total - l1
             left = self._nonpivots(l1)
@@ -357,27 +362,17 @@ class _Saturator:
             for i, u in enumerate(left):
                 start = i + 1 if l2 == l1 else 0
                 for v in right[start:]:
-                    if assoc:
-                        m1, m2 = rprod(u, v), rprod(v, u)
+                    for tag in tags:
+                        m1, m2 = scheme_pair(tag, u, v)
                         if m1 != m2:
                             bucket.append({m1: one, m2: minus})
-                        continue
-                    for tag in self.schemes:
-                        if tag == "lcomm":
-                            m1, m2 = lprod(u, v), lprod(v, u)
-                        elif tag == "rcomm":
-                            m1, m2 = rprod(u, v), rprod(v, u)
-                        else:
-                            continue
-                        if m1 != m2:
-                            bucket.append({m1: one, m2: minus})
-        if not assoc and "cross" in self.schemes:
+        if not self.associative and "cross" in self.schemes:
             # not antisymmetric, so all ordered pairs including (u, u)
             for l1 in range(1, total):
                 l2 = total - l1
                 for u in self._nonpivots(l1):
                     for v in self._nonpivots(l2):
-                        m1, m2 = lprod(u, v), rprod(v, u)
+                        m1, m2 = scheme_pair("cross", u, v)
                         if m1 != m2:
                             bucket.append({m1: one, m2: minus})
 
@@ -439,20 +434,26 @@ class _Saturator:
         return ech.rows
 
 
-def _saturate(pres: Presentation, mode: str, cap: int, max_universe) -> dict:
-    relators = _mode_relators(pres, mode)
-    if not relators and not pres.schemes:
-        return {}
+def _saturate(pres: Presentation, n: int, mode: str, slack: int | None, max_universe):
+    """The one saturation step behind basis_upto and ideal_span_upto.
+
+    Works on pres itself in dialgebra mode and on its associative image in
+    associative mode.  Returns that presentation, the effective slack and
+    the echelon rows {pivot: monic tail} through degree n + slack.
+    """
+    if n < 1:
+        raise ValueError("degree bound must be at least 1")
+    q = pres if mode == DIALGEBRA else associated_associative(pres)
+    eff = _effective_slack(q, slack)
+    if not q.relators and not q.schemes:
+        return q, eff, {}
     sat = _Saturator(
-        pres.alphabet,
-        pres.field,
-        relators,
-        pres.schemes,
-        cap,
+        q,
+        n + eff,
         mode == ASSOCIATIVE,
         DEFAULT_UNIVERSE_CAP if max_universe is None else max_universe,
     )
-    return sat.run()
+    return q, eff, sat.run()
 
 
 # ===== basis tables ========================================================
@@ -504,31 +505,21 @@ class BasisTable:
     def rows(self) -> dict:
         if self._row_elements is None:
             self._row_elements = {
-                piv: self._element_for(piv) for piv in sorted(self._rows, key=_SORT_KEY)
+                piv: _row_element(self.alphabet, self.field, piv, self._rows[piv])
+                for piv in sorted(self._rows, key=_SORT_KEY)
             }
         return self._row_elements
-
-    def _element_for(self, piv: Disequence) -> DiElement:
-        full = dict(self._rows[piv])
-        full[piv] = self.field.one
-        return DiElement(self.alphabet, self.field, full, _clean=True)
-
-    def _universe_total(self) -> int:
-        assoc = self.mode == ASSOCIATIVE
-        return sum(
-            universe_count(self.alphabet.size, t, assoc)
-            for t in range(1, self.degree_bound + 1)
-        )
 
     @property
     def basis(self) -> list[Disequence]:
         if self._basis is None:
-            if self._universe_total() > MATERIALIZE_CAP:
+            assoc = self.mode == ASSOCIATIVE
+            total = _universe_upto(self.alphabet, self.degree_bound, assoc)
+            if total > MATERIALIZE_CAP:
                 raise ResourceCapExceeded(
                     f"materializing the basis up to degree {self.degree_bound} "
-                    f"would enumerate {self._universe_total()} monomials"
+                    f"would enumerate {total} monomials"
                 )
-            assoc = self.mode == ASSOCIATIVE
             rows = self._rows
             out = []
             for t in range(1, self.degree_bound + 1):
@@ -573,24 +564,16 @@ class BasisTable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_json_dict())
 
 
 def ideal_span_upto(pres: Presentation, n: int, mode: str = DIALGEBRA, max_universe=None):
     """Echelon rows spanning the computed ideal through degree n + slack."""
-    mode = _norm_mode(mode)
-    if n < 1:
-        raise ValueError("degree bound must be at least 1")
-    relators = _mode_relators(pres, mode)
-    eff = _effective_slack(relators, pres.slack, None)
-    rows = _saturate(pres, mode, n + eff, max_universe)
-    field = pres.field
-    out = []
-    for piv in sorted(rows, key=_SORT_KEY, reverse=True):
-        full = dict(rows[piv])
-        full[piv] = field.one
-        out.append(DiElement(pres.alphabet, field, full, _clean=True))
-    return out
+    _, _, rows = _saturate(pres, n, _norm_mode(mode), None, max_universe)
+    return [
+        _row_element(pres.alphabet, pres.field, piv, rows[piv])
+        for piv in sorted(rows, key=_SORT_KEY, reverse=True)
+    ]
 
 
 def basis_upto(
@@ -602,12 +585,7 @@ def basis_upto(
 ) -> BasisTable:
     """Saturate, echelonize, and report pivots and basis up to degree n."""
     mode = _norm_mode(mode)
-    if n < 1:
-        raise ValueError("degree bound must be at least 1")
-    relators = _mode_relators(pres, mode)
-    eff = _effective_slack(relators, pres.slack, slack)
-    homogeneous = all(r.is_homogeneous() for r in relators)
-    rows = _saturate(pres, mode, n + eff, max_universe)
+    q, eff, rows = _saturate(pres, n, mode, slack, max_universe)
     kept = {piv: tail for piv, tail in rows.items() if len(piv.word) <= n}
     return BasisTable(
         pres.alphabet,
@@ -615,7 +593,7 @@ def basis_upto(
         mode,
         n,
         eff,
-        homogeneous,
+        q.homogeneous,
         pres.fingerprint,
         kept,
     )

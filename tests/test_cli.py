@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from digrow import fixture_path
+from digrow import cli, fixture_path, presentation
 from digrow.cli import main, parse_presentation
 from digrow.element import QQ, PrimeField
 from digrow.errors import ParseError
@@ -234,6 +234,29 @@ def test_verify_commutative_fixture(capsys):
     assert "slope_ratio" in payload
 
 
+def test_verify_saturates_each_mode_once(capsys, monkeypatch):
+    calls = []
+    original = presentation._Saturator.run
+
+    def counting(self):
+        calls.append(self.associative)
+        return original(self)
+
+    monkeypatch.setattr(presentation._Saturator, "run", counting)
+    code, _, _ = run(capsys, "verify", COMM_AB, "--max-degree", "5")
+    assert code == 0
+    assert sorted(calls) == [False, True]
+
+
+def test_verify_capped_identity_scan_warns(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_IDENTITY_PAIRS", 10)
+    code, out, _ = run(capsys, "verify", COMM_AB, "--max-degree", "5")
+    assert code == 0
+    assert "WARN identity scan capped at 10 pairs per identity; no prediction drawn" in out
+    assert "holds through degree" not in out
+    assert "free commutative quotient" not in out
+
+
 def test_verify_truncation_is_soft(capsys):
     code, out, _ = run(capsys, "verify", INHOMOG, "--max-degree", "5")
     assert code == 0
@@ -300,15 +323,6 @@ def test_invalid_inputs_exit_1(capsys, tmp_path):
     bad.write_text("generators a a\n")
     code, _, err = run(capsys, "growth", str(bad))
     assert code == 1 and "line 1" in err
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("DIGROW_THREADS", "0")
-    assert run(capsys, "growth", FREE_A, "--max-degree", "3")[0] == 1
-    monkeypatch.setenv("DIGROW_THREADS", "lots")
-    assert run(capsys, "growth", FREE_A, "--max-degree", "3")[0] == 1
-    monkeypatch.setenv("DIGROW_THREADS", "4")
-    assert run(capsys, "growth", FREE_A, "--max-degree", "3")[0] == 0
 
 
 # ===== output files and determinism ========================================

@@ -165,6 +165,15 @@ def test_parse_field():
     for bad in ("gf six", "R", "gf", "gf 7 9"):
         with pytest.raises(ValueError):
             parse_field(bad)
+    # the messages and column the presentation-file parser reports
+    for spec, message in (
+        ("gf x", "expected a prime after gf, got 'x'"),
+        ("gf 6", "modulus 6 is not prime"),
+        ("R", "expected Q or gf <prime>"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_field(spec)
+        assert (exc.value.message, exc.value.column) == (message, 7)
 
 
 def test_elements_over_gf7():

@@ -74,6 +74,18 @@ def test_series_json_and_csv_shapes():
 # ===== series from presentations ===========================================
 
 
+def test_series_from_table_matches_growth_series():
+    for name, mode in (("inhomog_ab", DIALGEBRA), ("inhomog_ab", ASSOCIATIVE),
+                       ("comm_ab", DIALGEBRA)):
+        pres = fixture(name)
+        table = basis_upto(pres, 5, mode)
+        series = GrowthSeries.from_table(table)
+        assert series == growth_series(pres, 5, mode)
+        assert series.per_degree == tuple(table.counts_by_degree())
+        assert series.exact == table.exact
+        assert bool(series.warnings) == (not table.exact)
+
+
 def test_free_single_generator_series():
     s = growth_series(fixture("free_a"), 50)
     for n in range(1, 51):
@@ -370,8 +382,13 @@ def test_identities_on_cross_fixture():
 
 def test_identity_check_respects_pair_cap():
     pres = fixture("comm_ab")
-    report = identity_class_check(pres, basis_upto(pres, 5), max_pairs=10)
+    table = basis_upto(pres, 5)
+    report = identity_class_check(pres, table, max_pairs=10)
     assert report.pairs_checked <= 30  # 10 per identity
+    # a capped scan claims nothing it did not check
+    assert not report.exhaustive
+    assert report.predictions == ()
+    assert identity_class_check(pres, table).exhaustive
 
 
 def test_identity_check_requires_dialgebra_mode():

@@ -328,6 +328,10 @@ def test_inhomogeneous_tables_are_flagged():
     assert table.slack == 2  # stored in the fixture file
     assert not table.exact
     assert not table.homogeneous
+    # the relator collapses to [b]@1 in associative mode: homogeneous, no slack
+    table = basis_upto(pres, 3, mode=ASSOCIATIVE)
+    assert table.slack == 0
+    assert table.exact
 
 
 # ===== normal forms ========================================================
