@@ -225,8 +225,6 @@ def cmd_nf(args) -> int:
             "degree_bound": table.degree_bound,
             "exact": table.exact,
         }))
-    elif args.format == "csv":
-        raise ParseError("csv format applies to the growth verb only")
     else:
         _emit(args, nf.format() + "\n")
     return EXIT_OK
@@ -238,8 +236,6 @@ def cmd_basis(args) -> int:
     table = basis_upto(pres, args.max_degree, _mode_of(args), args.slack)
     if args.format == "json":
         _emit(args, table.to_json())
-    elif args.format == "csv":
-        raise ParseError("csv format applies to the growth verb only")
     else:
         lines = [
             f"mode: {table.mode}",
@@ -277,8 +273,6 @@ def cmd_gk(args) -> int:
     est = gk_estimate(series, args.window)
     if args.format == "json":
         _emit(args, est.to_json())
-    elif args.format == "csv":
-        raise ParseError("csv format applies to the growth verb only")
     else:
         lines = [
             f"classification: {est.classification}",
@@ -389,7 +383,7 @@ def cmd_verify(args) -> int:
         report("INFO",
                f"fitted exponent ratio dialgebra/associative: {slope_ratio:.3f}")
 
-    for w in set(series_d.warnings) | set(series_a.warnings):
+    for w in dict.fromkeys(series_d.warnings + series_a.warnings):
         report("WARN", w)
 
     if args.format == "json":
@@ -407,8 +401,6 @@ def cmd_verify(args) -> int:
             "slope_ratio": slope_ratio,
         }
         _emit(args, canonical_json(payload))
-    elif args.format == "csv":
-        raise ParseError("csv format applies to the growth verb only")
     else:
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_VERIFY if hard_failures else EXIT_OK
@@ -427,6 +419,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and args.verb != "growth":
+            raise ParseError("csv format applies to the growth verb only")
         return _VERBS[args.verb](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID

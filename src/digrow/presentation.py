@@ -6,7 +6,8 @@ degree by degree: seed rows, then close under multiplication by single
 generators on both sides under both products, reducing every candidate
 against a fully inter-reduced echelon set as it arrives.  Pivot monomials of
 the echelon rows are exactly the monomials that reduce; everything else is
-the basis.
+the basis.  Binomial presentations get the same rows from a union-find over
+the monomials of each degree, with no field arithmetic.
 
 Truncation semantics matter.  Saturation runs to degree n + slack and the
 table reports degrees up to n.  A kept row never has a term beyond the cap
@@ -22,6 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import product as _cartesian
 
 from .element import DiElement, QQ
 from .errors import (
@@ -63,6 +65,38 @@ def scheme_pair(tag: str, u: Disequence, v: Disequence) -> tuple[Disequence, Dis
     if tag == "rcomm":
         return rprod(u, v), rprod(v, u)
     return lprod(u, v), rprod(v, u)
+
+
+def _scheme_instances(schemes, associative: bool, total: int, basis_of):
+    """The pairs (m1, m2), m1 != m2, that the schemes equate in degree `total`.
+
+    Pairs range over basis monomials only, basis_of(length) listing those
+    of a lower length: an instance on a reducible argument differs from
+    instances on its reduction by ideal elements the closure already spans.
+    """
+    if total < 2 or not schemes:
+        return
+    # associative mode reads every scheme as plain commutativity
+    tags = ("rcomm",) if associative else [t for t in schemes if t != "cross"]
+    for l1 in range(1, total // 2 + 1):
+        l2 = total - l1
+        left = basis_of(l1)
+        right = left if l2 == l1 else basis_of(l2)
+        for i, u in enumerate(left):
+            start = i + 1 if l2 == l1 else 0
+            for v in right[start:]:
+                for tag in tags:
+                    m1, m2 = scheme_pair(tag, u, v)
+                    if m1 != m2:
+                        yield m1, m2
+    if not associative and "cross" in schemes:
+        # not antisymmetric, so all ordered pairs including (u, u)
+        for l1 in range(1, total):
+            for u in basis_of(l1):
+                for v in basis_of(total - l1):
+                    m1, m2 = scheme_pair("cross", u, v)
+                    if m1 != m2:
+                        yield m1, m2
 
 
 def _universe_upto(alphabet: Alphabet, n: int, associative: bool) -> int:
@@ -303,7 +337,7 @@ def echelonize(elements) -> list[DiElement]:
 class _Saturator:
     """Degree-bucketed closure of the ideal span up to a length cap."""
 
-    def __init__(self, pres: Presentation, cap: int, associative: bool, max_universe: int):
+    def __init__(self, pres: Presentation, cap: int, associative: bool):
         self.alphabet = pres.alphabet
         self.field = pres.field
         self.schemes = pres.schemes
@@ -312,13 +346,6 @@ class _Saturator:
         self.ech = _Echelon(pres.field)
         self.gens = pres.alphabet.generators()
         self._universe: dict[int, list] = {}
-
-        total = _universe_upto(pres.alphabet, cap, associative)
-        if total > max_universe:
-            raise ResourceCapExceeded(
-                f"elimination up to degree {cap} would touch {total} monomials "
-                f"(cap {max_universe}); lower the degree or raise the cap"
-            )
 
         self.pending: list[list] = [[] for _ in range(cap + 2)]
         self.instantiated = [False] * (cap + 2)
@@ -342,39 +369,12 @@ class _Saturator:
         return [m for m in self._length_universe(length) if m not in rows]
 
     def _seed_instances(self, total: int):
-        """Identity-scheme rows of total degree `total`.
-
-        Pairs range over current basis monomials only: an instance on a
-        reducible argument differs from instances on its reduction by ideal
-        elements the closure already spans.
-        """
-        if total < 2:
-            return
+        """Identity-scheme rows of total degree `total`."""
         one = self.field.one
         minus = self.field.neg(one)
         bucket = self.pending[total]
-        # associative mode reads every scheme as plain commutativity
-        tags = ("rcomm",) if self.associative else [t for t in self.schemes if t != "cross"]
-        for l1 in range(1, total // 2 + 1):
-            l2 = total - l1
-            left = self._nonpivots(l1)
-            right = left if l2 == l1 else self._nonpivots(l2)
-            for i, u in enumerate(left):
-                start = i + 1 if l2 == l1 else 0
-                for v in right[start:]:
-                    for tag in tags:
-                        m1, m2 = scheme_pair(tag, u, v)
-                        if m1 != m2:
-                            bucket.append({m1: one, m2: minus})
-        if not self.associative and "cross" in self.schemes:
-            # not antisymmetric, so all ordered pairs including (u, u)
-            for l1 in range(1, total):
-                l2 = total - l1
-                for u in self._nonpivots(l1):
-                    for v in self._nonpivots(l2):
-                        m1, m2 = scheme_pair("cross", u, v)
-                        if m1 != m2:
-                            bucket.append({m1: one, m2: minus})
+        for m1, m2 in _scheme_instances(self.schemes, self.associative, total, self._nonpivots):
+            bucket.append({m1: one, m2: minus})
 
     def _products(self, piv: Disequence, tail: dict):
         """Single-generator multiples of the row piv + tail, both sides."""
@@ -434,12 +434,129 @@ class _Saturator:
         return ech.rows
 
 
+def _binomial(q: Presentation) -> bool:
+    """True when q is homogeneous and every relator is c*m or c*m1 - c*m2.
+
+    The ideal of such a presentation is spanned, degree by degree, by
+    differences of monomials and by monomials (scheme instances are
+    differences too), which is what _congruence_rows needs.
+    """
+    add, zero = q.field.add, q.field.zero
+    return q.homogeneous and all(
+        len(r.terms) == 1 or (len(r.terms) == 2 and add(*r.terms.values()) == zero)
+        for r in q.relators
+    )
+
+
+def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
+    """The rows _Saturator(q, cap, associative).run() returns, for binomial q.
+
+    Degree by degree, a union-find over integer positions: a monomial's
+    position is its index in monomials(alphabet, t, associative), that is
+    (middle - 1) * k**t + word value, so position order is monomial order.
+    Each class is rooted at its smallest position and may be killed.  The
+    ideal at degree t is spanned by the differences inside each class and
+    the monomials of killed classes; its reduced echelon form has the row
+    {m: {root: -1}} for every other member m of a live class and {m: {}}
+    for every member of a killed one.  Classes at degree t come from the
+    single-generator images of the rows at degree t - 1, the relators of
+    length t and the scheme instances of total degree t.
+    """
+    alphabet, field = q.alphabet, q.field
+    k = alphabet.size
+    gens = range(k)
+    minus = field.neg(field.one)
+    relators: dict[int, list] = {}
+    for r in q.relators:
+        terms = list(r.terms)
+        relators.setdefault(len(terms[0].word), []).append(terms)
+
+    def position(m: Disequence) -> int:
+        value = 0
+        for b in m.word:
+            value = value * k + b
+        return (m.middle - 1) * k ** len(m.word) + value
+
+    rows: dict = {}
+    basis: dict[int, list] = {}  # degree -> basis monomials, for scheme instances
+    prev: list = []  # rows of degree t - 1 as (pivot, root), root -1 if killed
+    for t in range(1, cap + 1):
+        K, W = k ** (t - 1), k**t
+        size = W if associative else t * W
+        parent = list(range(size))
+        killed = bytearray(size)
+
+        def find(p):
+            while parent[p] != p:
+                parent[p] = p = parent[parent[p]]
+            return p
+
+        def union(a, b):
+            a, b = find(a), find(b)
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                parent[b] = a
+                killed[a] |= killed[b]
+
+        def images(x):
+            # x = (middle - 1) * K + w at degree t - 1; in associative mode
+            # x < K, so only the two rprod maps and word values remain
+            m1, w = divmod(x, K)
+            out = [g * K + w for g in gens]  # rprod(g, x)
+            out += [m1 * W + w * k + g for g in gens]  # rprod(x, g)
+            if not associative:
+                out += [(m1 + 1) * W + g * K + w for g in gens]  # lprod(g, x)
+                out += [(t - 1) * W + w * k + g for g in gens]  # lprod(x, g)
+            return out
+
+        root_images: dict = {}
+        for x, r in prev:
+            if r < 0:
+                for y in images(x):
+                    killed[find(y)] = 1
+                continue
+            ys = root_images.get(r)
+            if ys is None:
+                ys = root_images[r] = images(r)
+            for a, b in zip(images(x), ys):
+                union(a, b)
+        for terms in relators.get(t, ()):
+            if len(terms) == 1:
+                killed[find(position(terms[0]))] = 1
+            else:
+                union(position(terms[0]), position(terms[1]))
+        for m1, m2 in _scheme_instances(q.schemes, associative, t, basis.get):
+            union(position(m1), position(m2))
+
+        words = [bytes(w) for w in _cartesian(gens, repeat=t)]
+        prev = []
+        live = []
+        for p in range(size):
+            r = find(p)
+            if killed[r]:
+                prev.append((p, -1))
+            elif r != p:
+                prev.append((p, r))
+            else:
+                live.append(p)
+        reps = {r: Disequence(alphabet, words[r % W], r // W + 1) for r in live}
+        for p, r in prev:
+            mono = Disequence(alphabet, words[p % W], p // W + 1)
+            rows[mono] = {} if r < 0 else {reps[r]: minus}
+        if q.schemes:
+            basis[t] = [reps[r] for r in live]
+    return rows
+
+
 def _saturate(pres: Presentation, n: int, mode: str, slack: int | None, max_universe):
     """The one saturation step behind basis_upto and ideal_span_upto.
 
     Works on pres itself in dialgebra mode and on its associative image in
     associative mode.  Returns that presentation, the effective slack and
-    the echelon rows {pivot: monic tail} through degree n + slack.
+    the echelon rows {pivot: monic tail} through degree n + slack.  Binomial
+    input takes the congruence engine, everything else elimination; both
+    give the same rows.
     """
     if n < 1:
         raise ValueError("degree bound must be at least 1")
@@ -447,13 +564,19 @@ def _saturate(pres: Presentation, n: int, mode: str, slack: int | None, max_univ
     eff = _effective_slack(q, slack)
     if not q.relators and not q.schemes:
         return q, eff, {}
-    sat = _Saturator(
-        q,
-        n + eff,
-        mode == ASSOCIATIVE,
-        DEFAULT_UNIVERSE_CAP if max_universe is None else max_universe,
-    )
-    return q, eff, sat.run()
+    cap = n + eff
+    associative = mode == ASSOCIATIVE
+    if max_universe is None:
+        max_universe = DEFAULT_UNIVERSE_CAP
+    total = _universe_upto(q.alphabet, cap, associative)
+    if total > max_universe:
+        raise ResourceCapExceeded(
+            f"elimination up to degree {cap} would touch {total} monomials "
+            f"(cap {max_universe}); lower the degree or raise the cap"
+        )
+    if _binomial(q):
+        return q, eff, _congruence_rows(q, cap, associative)
+    return q, eff, _Saturator(q, cap, associative).run()
 
 
 # ===== basis tables ========================================================

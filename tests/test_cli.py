@@ -1,15 +1,20 @@
 """Front end: file parsing with diagnostics, verbs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import digrow
 from digrow import cli, fixture_path, presentation
 from digrow.cli import main, parse_presentation
 from digrow.element import QQ, PrimeField
 from digrow.errors import ParseError
 from digrow.growth import TheoremAReport
-from digrow.presentation import DIALGEBRA
+from digrow.presentation import ASSOCIATIVE, DIALGEBRA
 
 
 def parse_error(text):
@@ -235,17 +240,18 @@ def test_verify_commutative_fixture(capsys):
 
 
 def test_verify_saturates_each_mode_once(capsys, monkeypatch):
+    # _saturate is the one entry point both saturation engines sit behind
     calls = []
-    original = presentation._Saturator.run
+    original = presentation._saturate
 
-    def counting(self):
-        calls.append(self.associative)
-        return original(self)
+    def counting(pres, n, mode, slack, max_universe):
+        calls.append(mode)
+        return original(pres, n, mode, slack, max_universe)
 
-    monkeypatch.setattr(presentation._Saturator, "run", counting)
+    monkeypatch.setattr(presentation, "_saturate", counting)
     code, _, _ = run(capsys, "verify", COMM_AB, "--max-degree", "5")
     assert code == 0
-    assert sorted(calls) == [False, True]
+    assert sorted(calls) == [ASSOCIATIVE, DIALGEBRA]
 
 
 def test_verify_capped_identity_scan_warns(capsys, monkeypatch):
@@ -305,6 +311,19 @@ def test_saturation_universe_cap_exits_3(capsys):
     assert "resource cap" in err and "monomials" in err
 
 
+def test_csv_rejected_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("saturated before rejecting --format csv")
+
+    monkeypatch.setattr(cli, "basis_upto", unreachable)
+    monkeypatch.setattr(cli, "growth_series", unreachable)
+    for argv in (("nf", FREE_A, "--expr", "[a]@1"), ("basis", FREE_A),
+                 ("gk", FREE_A), ("verify", FREE_A, "--max-degree", "4")):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 1 and out == ""
+        assert "digrow: error: csv format applies to the growth verb only" in err
+
+
 def test_invalid_inputs_exit_1(capsys, tmp_path):
     assert run(capsys, "growth", str(tmp_path / "missing.dpres"))[0] == 1
     assert run(capsys, "frobnicate", FREE_A)[0] == 1
@@ -312,9 +331,6 @@ def test_invalid_inputs_exit_1(capsys, tmp_path):
     assert run(capsys, "gk", FREE_A, "--window", "xy")[0] == 1
     code, _, err = run(capsys, "gk", FREE_A, "--max-degree", "8", "--window", "9:20")
     assert code == 1 and "digrow: error:" in err
-    assert run(capsys, "nf", FREE_A, "--expr", "[a]@1", "--format", "csv")[0] == 1
-    assert run(capsys, "basis", FREE_A, "--format", "csv")[0] == 1
-    assert run(capsys, "verify", FREE_A, "--max-degree", "4", "--format", "csv")[0] == 1
     assert run(capsys, "growth", FREE_A, "--max-degree", "0")[0] == 1
     code, _, err = run(capsys, "nf", FREE_A, "--expr", "[a]@1 ++", "--max-degree", "3")
     assert code == 1 and "digrow: error:" in err
@@ -336,6 +352,28 @@ def test_out_flag_writes_file(capsys, tmp_path):
     on_disk = target.read_text(encoding="utf-8")
     _, stdout, _ = run(capsys, "growth", FREE_A, "--max-degree", "6", "--format", "csv")
     assert on_disk == stdout
+
+
+def test_verify_warnings_ignore_hash_seed(tmp_path):
+    # dialgebra slack 2, associative slack 1: two distinct approximation warnings
+    path = tmp_path / "two_slacks.dpres"
+    path.write_text("generators a b\nrel [a a a]@1 - [a a a]@2 + [a a]@1 - [a]@1\n")
+    src = str(Path(digrow.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "digrow.cli", "verify", str(path), "--max-degree", "4"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    warns = [ln for ln in outs[0].splitlines() if ln.startswith("WARN approximate")]
+    assert warns == [
+        "WARN approximate: lower-bound ideal / upper-bound basis (slack 2)",
+        "WARN approximate: lower-bound ideal / upper-bound basis (slack 1)",
+    ]
 
 
 def test_outputs_are_byte_deterministic(capsys):

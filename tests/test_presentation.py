@@ -24,7 +24,11 @@ from digrow.presentation import (
     ASSOCIATIVE,
     DIALGEBRA,
     MATERIALIZE_CAP,
+    SCHEME_TAGS,
     Presentation,
+    _binomial,
+    _congruence_rows,
+    _Saturator,
     associated_associative,
     basis_upto,
     collapse_middle,
@@ -269,6 +273,76 @@ def test_scheme_combination_counts_match_oracle():
     assert table.counts_by_degree() == o_basis_counts(
         ("a", "b"), [], ("lcomm", "rcomm", "cross"), 4
     )
+
+
+# ===== the congruence engine against elimination ===========================
+
+GF7 = PrimeField(7)
+
+
+@st.composite
+def binomial_presentations(draw):
+    """Homogeneous presentations whose relators are c*m or c*m1 - c*m2."""
+    k = draw(st.integers(1, 3))
+    alphabet = Alphabet(tuple("abc"[:k]))
+    field = draw(st.sampled_from([QQ, GF7]))
+
+    def mono(length):
+        word = bytes(draw(st.integers(0, k - 1)) for _ in range(length))
+        return Disequence(alphabet, word, draw(st.integers(1, length)))
+
+    relators = []
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(1, 3))
+        c = field.coerce(draw(st.integers(1, 6)))
+        m1, m2 = mono(length), mono(length)
+        if m1 == m2 or draw(st.booleans()):
+            relators.append(DiElement(alphabet, field, {m1: c}))
+        else:
+            relators.append(DiElement(alphabet, field, {m1: c, m2: field.neg(c)}))
+    schemes = draw(st.lists(st.sampled_from(SCHEME_TAGS), unique=True, max_size=3))
+    return Presentation(alphabet, field, tuple(relators), tuple(schemes))
+
+
+@given(binomial_presentations(), st.booleans())
+def test_congruence_rows_match_elimination_and_oracle(pres, assoc):
+    from oracle import o_basis_counts
+
+    q = associated_associative(pres) if assoc else pres
+    assert _binomial(q)
+    k = pres.alphabet.size
+    cap = {1: 12, 2: 6, 3: 4}[k]
+    assert _congruence_rows(q, cap, assoc) == _Saturator(q, cap, assoc).run()
+
+    # the span of c*(m1 - m2) is the span of m1 - m2 over every field
+    rels = [
+        {m: Fraction(sign) for m, sign in zip(to_oracle(r), (1, -1))}
+        for r in pres.relators
+    ]
+    n = {1: 6, 2: 4, 3: 3}[k]
+    table = basis_upto(pres, n, mode=ASSOCIATIVE if assoc else DIALGEBRA)
+    assert table.counts_by_degree() == o_basis_counts(
+        pres.alphabet.names, rels, pres.schemes, n, associative=assoc
+    )
+
+
+def test_binomial_predicate():
+    assert _binomial(fixture("zero_a"))
+    assert _binomial(fixture("middle_cap_a"))
+    assert _binomial(fixture("comm_ab"))
+    inhomog = fixture("inhomog_ab")
+    assert not _binomial(inhomog)
+    assert _binomial(associated_associative(inhomog))  # collapses to [b]@1
+    for text in (
+        "[a b]@1 - [b a]@1 + 2*[a a]@2",  # three terms
+        "[a b]@1 + [b a]@1",  # coefficients do not cancel
+        "2*[a b]@1 - 3*[b a]@1",
+        "[a]@1 - [a a]@1",  # cancelling but inhomogeneous
+    ):
+        assert not _binomial(Presentation(AB, QQ, (E(text),))), text
+    # over GF(2), m1 + m2 is m1 - m2
+    gf2 = PrimeField(2)
+    assert _binomial(Presentation(AB, gf2, (parse_element("[a b]@1 + [b a]@1", AB, gf2),)))
 
 
 # frozen from the tests/oracle.py comparisons above, extended one degree
