@@ -157,11 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="digrow", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p, window=False, expr=False):
+    def common(p, window=False, expr=False, mode=True):
         p.add_argument("file", help="presentation file (.dpres)")
         p.add_argument("--max-degree", type=int, default=UNFORCED_DEGREE_CAP,
                        metavar="N", help="degree bound (default 12)")
-        p.add_argument("--mode", choices=(DIALGEBRA, "assoc"), default=DIALGEBRA)
+        if mode:
+            p.add_argument("--mode", choices=(DIALGEBRA, "assoc"), default=DIALGEBRA)
+        else:
+            # verify saturates both modes, so its degree cap is dialgebra's
+            p.set_defaults(mode=DIALGEBRA)
         p.add_argument("--slack", type=int, default=None, metavar="K",
                        help="override saturation slack")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -178,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("basis", help="basis table up to the degree bound"))
     common(sub.add_parser("growth", help="growth series"))
     common(sub.add_parser("gk", help="growth-exponent estimate"), window=True)
-    common(sub.add_parser("verify", help="run the structural check battery"), window=True)
+    common(sub.add_parser("verify", help="run the structural check battery"),
+           window=True, mode=False)
     return top
 
 

@@ -366,13 +366,16 @@ def special_basis_check(table_d: BasisTable) -> SpecialBasisReport:
     if table_d.mode != DIALGEBRA:
         raise ValueError("needs a dialgebra-mode table")
     n = table_d.degree_bound
-    basis = table_d.basis
-    for m in range(1, (n + 1) // 2):
-        # witnesses exist only at lengths > 2m; 2m < n keeps that nonvacuous
-        if all(mono.middle <= m or len(mono.word) - mono.middle <= m - 1 for mono in basis):
-            return SpecialBasisReport(
-                m, n, "growth exponents of the quotient and its associative image coincide"
-            )
+    # [a_1..a_t]@p holds exactly for m >= min(p, t - p + 1)
+    m = max(
+        (min(mono.middle, len(mono.word) - mono.middle + 1) for mono in table_d.basis),
+        default=1,
+    )
+    # witnesses exist only at lengths > 2m; 2m < n keeps that nonvacuous
+    if m < (n + 1) // 2:
+        return SpecialBasisReport(
+            m, n, "growth exponents of the quotient and its associative image coincide"
+        )
     return SpecialBasisReport(None, n, None)
 
 
@@ -432,9 +435,10 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
                 break
             # the cross identity is not symmetric in (u, v); include u = v
             start = i if tag == "cross" else i + 1
+            # the basis ascends by length, so no later v fits either
             for v in basis[start:]:
                 if len(u.word) + len(v.word) > n:
-                    continue
+                    break
                 if seen >= max_pairs:
                     exhaustive = False
                     done = True

@@ -225,11 +225,25 @@ def monomials(alphabet: Alphabet, length: int, associative: bool = False):
     runs middles first, then words lexicographically, which matches the
     (length, middle, letters) comparison.
     """
-    k = alphabet.size
+    words = [bytes(w) for w in _cartesian(range(alphabet.size), repeat=length)]
     middles = (1,) if associative else range(1, length + 1)
     for m in middles:
-        for w in _cartesian(range(k), repeat=length):
-            yield Disequence(alphabet, bytes(w), m)
+        for w in words:
+            yield Disequence(alphabet, w, m)
+
+
+def position(m: Disequence) -> int:
+    """The index at which monomials(m.alphabet, len(m.word), ...) yields m.
+
+    That is (middle - 1) * k**t + the word read in base k, so position order
+    is monomial order within one length.  Associative mode yields middle 1
+    only, so the same formula indexes both modes.
+    """
+    k = m.alphabet.size
+    value = 0
+    for b in m.word:
+        value = value * k + b
+    return (m.middle - 1) * k ** len(m.word) + value
 
 
 def universe_count(alphabet_size: int, length: int, associative: bool = False) -> int:

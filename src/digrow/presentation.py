@@ -23,7 +23,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import product as _cartesian
 
 from .element import DiElement, QQ
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     FieldMismatch,
     ResourceCapExceeded,
 )
-from .monomial import Alphabet, Disequence, lprod, monomials, rprod, universe_count
+from .monomial import Alphabet, Disequence, lprod, monomials, position, rprod, universe_count
 
 DIALGEBRA = "dialgebra"
 ASSOCIATIVE = "associative"
@@ -67,12 +66,13 @@ def scheme_pair(tag: str, u: Disequence, v: Disequence) -> tuple[Disequence, Dis
     return lprod(u, v), rprod(v, u)
 
 
-def _scheme_instances(schemes, associative: bool, total: int, basis_of):
+def _scheme_instances(schemes, associative: bool, total: int, basis: dict):
     """The pairs (m1, m2), m1 != m2, that the schemes equate in degree `total`.
 
-    Pairs range over basis monomials only, basis_of(length) listing those
-    of a lower length: an instance on a reducible argument differs from
+    Pairs range over basis monomials only, basis[length] listing those of
+    each lower length: an instance on a reducible argument differs from
     instances on its reduction by ideal elements the closure already spans.
+    The same argument lets basis[length] be a superset of the final basis.
     """
     if total < 2 or not schemes:
         return
@@ -80,8 +80,7 @@ def _scheme_instances(schemes, associative: bool, total: int, basis_of):
     tags = ("rcomm",) if associative else [t for t in schemes if t != "cross"]
     for l1 in range(1, total // 2 + 1):
         l2 = total - l1
-        left = basis_of(l1)
-        right = left if l2 == l1 else basis_of(l2)
+        left, right = basis[l1], basis[l2]
         for i, u in enumerate(left):
             start = i + 1 if l2 == l1 else 0
             for v in right[start:]:
@@ -92,8 +91,8 @@ def _scheme_instances(schemes, associative: bool, total: int, basis_of):
     if not associative and "cross" in schemes:
         # not antisymmetric, so all ordered pairs including (u, u)
         for l1 in range(1, total):
-            for u in basis_of(l1):
-                for v in basis_of(total - l1):
+            for u in basis[l1]:
+                for v in basis[total - l1]:
                     m1, m2 = scheme_pair("cross", u, v)
                     if m1 != m2:
                         yield m1, m2
@@ -334,59 +333,28 @@ def echelonize(elements) -> list[DiElement]:
 # ===== saturation ==========================================================
 
 
-class _Saturator:
-    """Degree-bucketed closure of the ideal span up to a length cap."""
+def _elimination_rows(q: Presentation, cap: int, associative: bool) -> dict:
+    """Degree-bucketed closure of the ideal span of q up to a length cap.
 
-    def __init__(self, pres: Presentation, cap: int, associative: bool):
-        self.alphabet = pres.alphabet
-        self.field = pres.field
-        self.schemes = pres.schemes
-        self.cap = cap
-        self.associative = associative
-        self.ech = _Echelon(pres.field)
-        self.gens = pres.alphabet.generators()
-        self._universe: dict[int, list] = {}
+    Returns the echelon rows {pivot: monic tail}.  Candidates wait in one
+    bucket per top length; each inserted row sends its single-generator
+    multiples, both sides and both products, to the bucket of their length.
+    """
+    alphabet, field = q.alphabet, q.field
+    one, minus, add = field.one, field.neg(field.one), field.add
+    ech = _Echelon(field)
+    rows = ech.rows
+    gens = alphabet.generators()
+    ops = (
+        ((rprod, True), (rprod, False))
+        if associative
+        else ((lprod, True), (lprod, False), (rprod, True), (rprod, False))
+    )
 
-        self.pending: list[list] = [[] for _ in range(cap + 2)]
-        self.instantiated = [False] * (cap + 2)
-        for r in pres.relators:
-            terms = dict(r.terms)
-            top = max(len(m.word) for m in terms)
-            if top <= cap:
-                self.pending[top].append(terms)
-
-    # -- candidate generation -------------------------------------------------
-
-    def _length_universe(self, length: int) -> list:
-        got = self._universe.get(length)
-        if got is None:
-            got = list(monomials(self.alphabet, length, self.associative))
-            self._universe[length] = got
-        return got
-
-    def _nonpivots(self, length: int) -> list:
-        rows = self.ech.rows
-        return [m for m in self._length_universe(length) if m not in rows]
-
-    def _seed_instances(self, total: int):
-        """Identity-scheme rows of total degree `total`."""
-        one = self.field.one
-        minus = self.field.neg(one)
-        bucket = self.pending[total]
-        for m1, m2 in _scheme_instances(self.schemes, self.associative, total, self._nonpivots):
-            bucket.append({m1: one, m2: minus})
-
-    def _products(self, piv: Disequence, tail: dict):
-        """Single-generator multiples of the row piv + tail, both sides."""
-        full = dict(tail)
-        full[piv] = self.field.one
-        add = self.field.add
-        ops = (
-            ((rprod, True), (rprod, False))
-            if self.associative
-            else ((lprod, True), (lprod, False), (rprod, True), (rprod, False))
-        )
-        for g in self.gens:
+    def products(piv: Disequence):
+        full = dict(rows[piv])
+        full[piv] = one
+        for g in gens:
             for mono_op, on_left in ops:
                 out: dict = {}
                 for m, c in full.items():
@@ -403,35 +371,35 @@ class _Saturator:
                 if out:
                     yield out
 
-    # -- main loop -------------------------------------------------------------
-
-    def run(self) -> dict:
-        pend = self.pending
-        cap = self.cap
-        ech = self.ech
-        t = 1
-        while t <= cap:
-            if self.schemes and not self.instantiated[t]:
-                self.instantiated[t] = True
-                self._seed_instances(t)
-            bucket = pend[t]
-            while bucket:
-                terms = bucket.pop()
-                nf = _reduce_terms(terms, ech.rows, self.field)
-                if not nf:
-                    continue
-                piv = ech.insert_reduced(nf)
-                if len(piv.word) + 1 <= cap:
-                    for prod in self._products(piv, ech.rows[piv]):
-                        pend[max(len(m.word) for m in prod)].append(prod)
-            # a late short pivot can drop work into lower buckets; go back
-            back = None
-            for s in range(1, t + 1):
-                if pend[s]:
-                    back = s
-                    break
-            t = back if back is not None else t + 1
-        return ech.rows
+    pend: list[list] = [[] for _ in range(cap + 1)]
+    for r in q.relators:
+        top = max(len(m.word) for m in r.terms)
+        if top <= cap:
+            pend[top].append(dict(r.terms))
+    basis: dict[int, list] = {}  # degree -> basis monomials, for scheme instances
+    reached = 0
+    t = 1
+    while t <= cap:
+        if q.schemes and t > reached:
+            reached = t
+            if t > 1:
+                basis[t - 1] = [
+                    m for m in monomials(alphabet, t - 1, associative) if m not in rows
+                ]
+            for m1, m2 in _scheme_instances(q.schemes, associative, t, basis):
+                pend[t].append({m1: one, m2: minus})
+        bucket = pend[t]
+        while bucket:
+            nf = _reduce_terms(bucket.pop(), rows, field)
+            if not nf:
+                continue
+            piv = ech.insert_reduced(nf)
+            if len(piv.word) < cap:
+                for prod in products(piv):
+                    pend[max(len(m.word) for m in prod)].append(prod)
+        # a late short pivot can drop work into lower buckets; go back
+        t = next((s for s in range(1, t + 1) if pend[s]), t + 1)
+    return rows
 
 
 def _binomial(q: Presentation) -> bool:
@@ -449,16 +417,16 @@ def _binomial(q: Presentation) -> bool:
 
 
 def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
-    """The rows _Saturator(q, cap, associative).run() returns, for binomial q.
+    """The rows _elimination_rows(q, cap, associative) returns, for binomial q.
 
-    Degree by degree, a union-find over integer positions: a monomial's
-    position is its index in monomials(alphabet, t, associative), that is
-    (middle - 1) * k**t + word value, so position order is monomial order.
-    Each class is rooted at its smallest position and may be killed.  The
-    ideal at degree t is spanned by the differences inside each class and
-    the monomials of killed classes; its reduced echelon form has the row
-    {m: {root: -1}} for every other member m of a live class and {m: {}}
-    for every member of a killed one.  Classes at degree t come from the
+    Degree by degree, a union-find over monomial positions (see position),
+    so position order is monomial order.  Each class is rooted at its
+    smallest position and may be killed.  The ideal at degree t is spanned
+    by the differences inside each class and the monomials of killed
+    classes; its reduced echelon form has the row {m: {root: -1}} for every
+    other member m of a live class and {m: {}} for every member of a killed
+    one.  Members of one class share one tail dict, and killed monomials
+    share one empty dict.  Classes at degree t come from the
     single-generator images of the rows at degree t - 1, the relators of
     length t and the scheme instances of total degree t.
     """
@@ -471,18 +439,13 @@ def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
         terms = list(r.terms)
         relators.setdefault(len(terms[0].word), []).append(terms)
 
-    def position(m: Disequence) -> int:
-        value = 0
-        for b in m.word:
-            value = value * k + b
-        return (m.middle - 1) * k ** len(m.word) + value
-
     rows: dict = {}
+    dead: dict = {}
     basis: dict[int, list] = {}  # degree -> basis monomials, for scheme instances
     prev: list = []  # rows of degree t - 1 as (pivot, root), root -1 if killed
     for t in range(1, cap + 1):
         K, W = k ** (t - 1), k**t
-        size = W if associative else t * W
+        size = universe_count(k, t, associative)
         parent = list(range(size))
         killed = bytearray(size)
 
@@ -526,26 +489,27 @@ def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
                 killed[find(position(terms[0]))] = 1
             else:
                 union(position(terms[0]), position(terms[1]))
-        for m1, m2 in _scheme_instances(q.schemes, associative, t, basis.get):
+        for m1, m2 in _scheme_instances(q.schemes, associative, t, basis):
             union(position(m1), position(m2))
 
-        words = [bytes(w) for w in _cartesian(gens, repeat=t)]
+        # a root is its class's smallest position, so its tail exists
+        # before any other member comes up
         prev = []
+        tails: dict = {}
         live = []
-        for p in range(size):
+        for p, mono in enumerate(monomials(alphabet, t, associative)):
             r = find(p)
             if killed[r]:
                 prev.append((p, -1))
+                rows[mono] = dead
             elif r != p:
                 prev.append((p, r))
+                rows[mono] = tails[r]
             else:
-                live.append(p)
-        reps = {r: Disequence(alphabet, words[r % W], r // W + 1) for r in live}
-        for p, r in prev:
-            mono = Disequence(alphabet, words[p % W], p // W + 1)
-            rows[mono] = {} if r < 0 else {reps[r]: minus}
+                tails[p] = {mono: minus}
+                live.append(mono)
         if q.schemes:
-            basis[t] = [reps[r] for r in live]
+            basis[t] = live
     return rows
 
 
@@ -576,7 +540,7 @@ def _saturate(pres: Presentation, n: int, mode: str, slack: int | None, max_univ
         )
     if _binomial(q):
         return q, eff, _congruence_rows(q, cap, associative)
-    return q, eff, _Saturator(q, cap, associative).run()
+    return q, eff, _elimination_rows(q, cap, associative)
 
 
 # ===== basis tables ========================================================
@@ -709,7 +673,9 @@ def basis_upto(
     """Saturate, echelonize, and report pivots and basis up to degree n."""
     mode = _norm_mode(mode)
     q, eff, rows = _saturate(pres, n, mode, slack, max_universe)
-    kept = {piv: tail for piv, tail in rows.items() if len(piv.word) <= n}
+    if eff:
+        # rows reach degree n + eff; only slack puts them beyond n
+        rows = {piv: tail for piv, tail in rows.items() if len(piv.word) <= n}
     return BasisTable(
         pres.alphabet,
         pres.field,
@@ -718,7 +684,7 @@ def basis_upto(
         eff,
         q.homogeneous,
         pres.fingerprint,
-        kept,
+        rows,
     )
 
 

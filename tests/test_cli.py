@@ -304,6 +304,15 @@ def test_degree_cap_refusal_and_force(capsys):
     code, _, _ = run(capsys, "growth", FREE_A, "--max-degree", "50")
     assert code == 0
 
+    # verify saturates both modes, so it takes the dialgebra cap and no --mode
+    code, out, err = run(capsys, "verify", COMM_AB, "--max-degree", "13")
+    assert code == 3 and out == ""
+    assert "resource cap" in err and "pass --force to lift it" in err
+    code, _, _ = run(capsys, "verify", COMM_AB, "--max-degree", "13", "--force")
+    assert code == 0
+    code, out, _ = run(capsys, "verify", COMM_AB, "--max-degree", "4", "--mode", "assoc")
+    assert code == 1 and out == ""
+
 
 def test_saturation_universe_cap_exits_3(capsys):
     code, out, err = run(capsys, "growth", COMM_AB, "--max-degree", "20", "--force")

@@ -14,6 +14,7 @@ from digrow.monomial import (
     middle_submonomials,
     monomials,
     parse_disequence,
+    position,
     rprod,
     universe_count,
 )
@@ -99,6 +100,14 @@ def test_enumeration_is_sorted_and_counted():
             ma = list(monomials(alphabet, t, associative=True))
             assert len(ma) == universe_count(alphabet.size, t, associative=True)
             assert all(m.middle == 1 for m in ma)
+
+
+def test_position_is_the_enumeration_index():
+    for alphabet in (A, AB, ABC):
+        for t in range(1, 5):
+            for associative in (False, True):
+                for i, m in enumerate(monomials(alphabet, t, associative)):
+                    assert position(m) == i
 
 
 def all_upto(alphabet, top):

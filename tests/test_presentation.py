@@ -6,10 +6,11 @@ live in the oracle-marked tests below.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from digrow.cli import load_presentation
 from digrow.element import QQ, DiElement, PrimeField, parse_element
@@ -28,7 +29,7 @@ from digrow.presentation import (
     Presentation,
     _binomial,
     _congruence_rows,
-    _Saturator,
+    _elimination_rows,
     associated_associative,
     basis_upto,
     collapse_middle,
@@ -312,7 +313,7 @@ def test_congruence_rows_match_elimination_and_oracle(pres, assoc):
     assert _binomial(q)
     k = pres.alphabet.size
     cap = {1: 12, 2: 6, 3: 4}[k]
-    assert _congruence_rows(q, cap, assoc) == _Saturator(q, cap, assoc).run()
+    assert _congruence_rows(q, cap, assoc) == _elimination_rows(q, cap, assoc)
 
     # the span of c*(m1 - m2) is the span of m1 - m2 over every field
     rels = [
@@ -343,6 +344,55 @@ def test_binomial_predicate():
     # over GF(2), m1 + m2 is m1 - m2
     gf2 = PrimeField(2)
     assert _binomial(Presentation(AB, gf2, (parse_element("[a b]@1 + [b a]@1", AB, gf2),)))
+
+
+def test_congruence_classes_share_one_tail():
+    pres = Presentation(AB, QQ, (E("[b b]@1"),), ("lcomm", "rcomm"))
+    rows = _congruence_rows(pres, 4, False)
+    one_per_tail = {tuple(tail): tail for tail in rows.values()}
+    assert all(one_per_tail[tuple(tail)] is tail for tail in rows.values())
+    assert () in one_per_tail  # the killed monomials
+    live = Counter(id(tail) for tail in rows.values() if tail)
+    assert max(live.values()) > 1
+
+
+@st.composite
+def non_binomial_presentations(draw):
+    """Presentations over Q with two- or three-term relators of mixed
+    lengths and coefficients, plus at least one identity scheme."""
+    k = draw(st.integers(1, 2))
+    alphabet = Alphabet(tuple("ab"[:k]))
+    top = {1: 3, 2: 2}[k]
+
+    def mono():
+        length = draw(st.integers(1, top))
+        word = bytes(draw(st.integers(0, k - 1)) for _ in range(length))
+        return Disequence(alphabet, word, draw(st.integers(1, length)))
+
+    relators = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = {mono(): Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+                 for _ in range(draw(st.integers(2, 3)))}
+        relators.append(DiElement(alphabet, QQ, terms))
+    schemes = draw(st.lists(st.sampled_from(SCHEME_TAGS), unique=True, min_size=1))
+    return Presentation(alphabet, QQ, tuple(relators), tuple(schemes))
+
+
+@given(non_binomial_presentations(), st.booleans())
+def test_elimination_with_schemes_matches_oracle(pres, assoc):
+    from oracle import o_basis
+
+    assume(not _binomial(associated_associative(pres) if assoc else pres))
+    rels = [to_oracle(r) for r in pres.relators]
+    n = {1: 4, 2: 3}[pres.alphabet.size]
+    table = basis_upto(pres, n, mode=ASSOCIATIVE if assoc else DIALGEBRA)
+    want = o_basis(
+        pres.alphabet.names, rels, pres.schemes, n, slack=table.slack, associative=assoc
+    )
+    assert table_as_oracle(table) == want
+    assert table.counts_by_degree() == [
+        sum(len(word) == t for word, _ in want) for t in range(1, n + 1)
+    ]
 
 
 # frozen from the tests/oracle.py comparisons above, extended one degree
