@@ -38,7 +38,6 @@ from .growth import (
 from .monomial import (
     Alphabet,
     Disequence,
-    compare_lml,
     lprod,
     middle_submonomials,
     monomials,
@@ -55,7 +54,6 @@ from .presentation import (
     basis_upto,
     collapse_middle,
     echelonize,
-    ideal_span_upto,
     normal_form,
     prefix_suffix_check,
 )
@@ -71,11 +69,11 @@ def fixture_path(name: str) -> str:
 
 
 __all__ = [
-    "Alphabet", "Disequence", "compare_lml", "lprod", "rprod",
+    "Alphabet", "Disequence", "lprod", "rprod",
     "middle_submonomials", "monomials", "parse_disequence", "universe_count",
     "DiElement", "QQ", "RationalField", "PrimeField", "parse_element",
     "parse_field", "axiom_residuals",
-    "Presentation", "BasisTable", "basis_upto", "ideal_span_upto",
+    "Presentation", "BasisTable", "basis_upto",
     "normal_form", "echelonize", "associated_associative", "collapse_middle",
     "prefix_suffix_check", "DIALGEBRA", "ASSOCIATIVE",
     "GrowthSeries", "GkEstimate", "growth_series", "gk_estimate",

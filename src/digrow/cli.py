@@ -212,15 +212,11 @@ def _emit(args, text: str):
 #### verbs
 
 
-def _mode_of(args) -> str:
-    return ASSOCIATIVE if args.mode == "assoc" else DIALGEBRA
-
-
 def cmd_nf(args) -> int:
     pres = load_presentation(args.file)
     _enforce_degree_cap(args, pres)
     x = parse_element(args.expr, pres.alphabet, pres.field)
-    table = basis_upto(pres, args.max_degree, _mode_of(args), args.slack)
+    table = basis_upto(pres, args.max_degree, args.mode, args.slack)
     nf = normal_form(x, table)
     if args.format == "json":
         _emit(args, canonical_json({
@@ -238,7 +234,7 @@ def cmd_nf(args) -> int:
 def cmd_basis(args) -> int:
     pres = load_presentation(args.file)
     _enforce_degree_cap(args, pres)
-    table = basis_upto(pres, args.max_degree, _mode_of(args), args.slack)
+    table = basis_upto(pres, args.max_degree, args.mode, args.slack)
     if args.format == "json":
         _emit(args, table.to_json())
     else:
@@ -257,7 +253,7 @@ def cmd_basis(args) -> int:
 def cmd_growth(args) -> int:
     pres = load_presentation(args.file)
     _enforce_degree_cap(args, pres)
-    series = growth_series(pres, args.max_degree, _mode_of(args), args.slack)
+    series = growth_series(pres, args.max_degree, args.mode, args.slack)
     if args.format == "json":
         _emit(args, series.to_json())
     elif args.format == "csv":
@@ -274,7 +270,7 @@ def cmd_growth(args) -> int:
 def cmd_gk(args) -> int:
     pres = load_presentation(args.file)
     _enforce_degree_cap(args, pres)
-    series = growth_series(pres, args.max_degree, _mode_of(args), args.slack)
+    series = growth_series(pres, args.max_degree, args.mode, args.slack)
     est = gk_estimate(series, args.window)
     if args.format == "json":
         _emit(args, est.to_json())
@@ -371,22 +367,27 @@ def cmd_verify(args) -> int:
     for pred in ic.predictions:
         report("INFO", pred)
 
-    ests = [gk_estimate(series_d, args.window), gk_estimate(series_a, args.window)]
-    gaps = gap_check(ests)
-    if gaps.ok:
-        report("PASS", "no growth-exponent estimate inside the gap band")
+    ests, gap, slope_ratio = [], None, None
+    if n < 3:
+        report("INFO", f"no fit window exists for N = {n} < 3; "
+                       "growth-exponent checks skipped")
     else:
-        for _, slope, resid, msg in gaps.anomalies:
-            report("WARN", f"{msg} (slope {slope:.3f}, residual {resid:.4f})")
+        ests = [gk_estimate(series_d, args.window), gk_estimate(series_a, args.window)]
+        gaps = gap_check(ests)
+        gap = gaps.to_json_dict()
+        if gaps.ok:
+            report("PASS", "no growth-exponent estimate inside the gap band")
+        else:
+            for _, slope, resid, msg in gaps.anomalies:
+                report("WARN", f"{msg} (slope {slope:.3f}, residual {resid:.4f})")
 
-    # exploratory: how the two fitted exponents relate; no conclusion drawn
-    est_d, est_a = ests
-    slope_ratio = None
-    if (est_d.classification == est_a.classification == "polynomial"
-            and est_a.slope > 0.05):
-        slope_ratio = est_d.slope / est_a.slope
-        report("INFO",
-               f"fitted exponent ratio dialgebra/associative: {slope_ratio:.3f}")
+        # exploratory: how the two fitted exponents relate; no conclusion drawn
+        est_d, est_a = ests
+        if (est_d.classification == est_a.classification == "polynomial"
+                and est_a.slope > 0.05):
+            slope_ratio = est_d.slope / est_a.slope
+            report("INFO",
+                   f"fitted exponent ratio dialgebra/associative: {slope_ratio:.3f}")
 
     for w in dict.fromkeys(series_d.warnings + series_a.warnings):
         report("WARN", w)
@@ -401,7 +402,7 @@ def cmd_verify(args) -> int:
             "prefix_suffix": ps.to_json_dict(),
             "special_basis": sb.to_json_dict(),
             "identity_class": ic.to_json_dict(),
-            "gap": gaps.to_json_dict(),
+            "gap": gap,
             "estimates": [e.to_json_dict() for e in ests],
             "slope_ratio": slope_ratio,
         }

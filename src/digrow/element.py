@@ -70,13 +70,42 @@ class RationalField:
 QQ = RationalField()
 
 
+# Miller-Rabin with these twelve bases is exact for every n below 3.18e23
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 2017); moduli stop at 2**64, well inside that range.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test, exact for 0 <= n < 3.18e23."""
+    if n < 2:
+        return False
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d = n - 1
+    s = (d & -d).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d >>= s
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """Integers mod p for prime p; values are ints reduced into [0, p)."""
+    """Integers mod p for prime p < 2**64; values are ints reduced into [0, p)."""
 
     def __init__(self, p: int):
-        from sympy import isprime  # deferred, sympy import is slow
-
-        if not isinstance(p, int) or p < 2 or not isprime(p):
+        if isinstance(p, int) and p >= 2**64:
+            raise ValueError(f"modulus {p} is not below the bound 2**64")
+        if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
         self.p = p
         self.zero = 0

@@ -186,6 +186,8 @@ def gk_estimate(series: GrowthSeries, window: tuple[int, int] | None = None) -> 
     polynomial of degree = slope.
     """
     N = series.degree_bound
+    if N < 3:
+        raise ValueError(f"no fit window exists below degree 3 (degree bound {N})")
     if window is None:
         window = default_window(N)
     lo, hi = window

@@ -165,13 +165,6 @@ def rprod(u: Disequence, v: Disequence) -> Disequence:
     return Disequence(a, u.word + v.word, u.middle)
 
 
-def compare_lml(u: Disequence, v: Disequence) -> int:
-    """-1, 0 or 1 under the (length, middle, letters) lexicographic order."""
-    u._cmp_guard(v)
-    ku, kv = u.sort_key(), v.sort_key()
-    return -1 if ku < kv else (0 if ku == kv else 1)
-
-
 def middle_submonomials(u: Disequence) -> list[Disequence]:
     """All [a_p ... a_q]@(m-p+1) with p <= m <= q, ascending.
 

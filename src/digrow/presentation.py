@@ -513,36 +513,6 @@ def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
     return rows
 
 
-def _saturate(pres: Presentation, n: int, mode: str, slack: int | None, max_universe):
-    """The one saturation step behind basis_upto and ideal_span_upto.
-
-    Works on pres itself in dialgebra mode and on its associative image in
-    associative mode.  Returns that presentation, the effective slack and
-    the echelon rows {pivot: monic tail} through degree n + slack.  Binomial
-    input takes the congruence engine, everything else elimination; both
-    give the same rows.
-    """
-    if n < 1:
-        raise ValueError("degree bound must be at least 1")
-    q = pres if mode == DIALGEBRA else associated_associative(pres)
-    eff = _effective_slack(q, slack)
-    if not q.relators and not q.schemes:
-        return q, eff, {}
-    cap = n + eff
-    associative = mode == ASSOCIATIVE
-    if max_universe is None:
-        max_universe = DEFAULT_UNIVERSE_CAP
-    total = _universe_upto(q.alphabet, cap, associative)
-    if total > max_universe:
-        raise ResourceCapExceeded(
-            f"elimination up to degree {cap} would touch {total} monomials "
-            f"(cap {max_universe}); lower the degree or raise the cap"
-        )
-    if _binomial(q):
-        return q, eff, _congruence_rows(q, cap, associative)
-    return q, eff, _elimination_rows(q, cap, associative)
-
-
 # ===== basis tables ========================================================
 
 
@@ -654,15 +624,6 @@ class BasisTable:
         return canonical_json(self.to_json_dict())
 
 
-def ideal_span_upto(pres: Presentation, n: int, mode: str = DIALGEBRA, max_universe=None):
-    """Echelon rows spanning the computed ideal through degree n + slack."""
-    _, _, rows = _saturate(pres, n, _norm_mode(mode), None, max_universe)
-    return [
-        _row_element(pres.alphabet, pres.field, piv, rows[piv])
-        for piv in sorted(rows, key=_SORT_KEY, reverse=True)
-    ]
-
-
 def basis_upto(
     pres: Presentation,
     n: int,
@@ -670,22 +631,36 @@ def basis_upto(
     slack: int | None = None,
     max_universe=None,
 ) -> BasisTable:
-    """Saturate, echelonize, and report pivots and basis up to degree n."""
+    """Saturate, echelonize, and report pivots and basis up to degree n.
+
+    Works on pres itself in dialgebra mode and on its associative image in
+    associative mode, through degree n + slack.  Binomial input takes the
+    congruence engine, everything else elimination; both give the same rows.
+    """
     mode = _norm_mode(mode)
-    q, eff, rows = _saturate(pres, n, mode, slack, max_universe)
+    if n < 1:
+        raise ValueError("degree bound must be at least 1")
+    associative = mode == ASSOCIATIVE
+    q = associated_associative(pres) if associative else pres
+    eff = _effective_slack(q, slack)
+    rows = {}
+    if q.relators or q.schemes:
+        cap = n + eff
+        if max_universe is None:
+            max_universe = DEFAULT_UNIVERSE_CAP
+        total = _universe_upto(q.alphabet, cap, associative)
+        if total > max_universe:
+            raise ResourceCapExceeded(
+                f"elimination up to degree {cap} would touch {total} monomials "
+                f"(cap {max_universe}); lower the degree or raise the cap"
+            )
+        engine = _congruence_rows if _binomial(q) else _elimination_rows
+        rows = engine(q, cap, associative)
     if eff:
         # rows reach degree n + eff; only slack puts them beyond n
         rows = {piv: tail for piv, tail in rows.items() if len(piv.word) <= n}
-    return BasisTable(
-        pres.alphabet,
-        pres.field,
-        mode,
-        n,
-        eff,
-        q.homogeneous,
-        pres.fingerprint,
-        rows,
-    )
+    return BasisTable(pres.alphabet, pres.field, mode, n, eff, q.homogeneous,
+                      pres.fingerprint, rows)
 
 
 def normal_form(x: DiElement, table: BasisTable) -> DiElement:

@@ -240,18 +240,45 @@ def test_verify_commutative_fixture(capsys):
 
 
 def test_verify_saturates_each_mode_once(capsys, monkeypatch):
-    # _saturate is the one entry point both saturation engines sit behind
+    # every saturation runs one of the two engines behind basis_upto
     calls = []
-    original = presentation._saturate
 
-    def counting(pres, n, mode, slack, max_universe):
-        calls.append(mode)
-        return original(pres, n, mode, slack, max_universe)
+    def counting(engine):
+        def wrapped(q, cap, associative):
+            calls.append(ASSOCIATIVE if associative else DIALGEBRA)
+            return engine(q, cap, associative)
+        return wrapped
 
-    monkeypatch.setattr(presentation, "_saturate", counting)
+    for name in ("_congruence_rows", "_elimination_rows"):
+        monkeypatch.setattr(presentation, name, counting(getattr(presentation, name)))
     code, _, _ = run(capsys, "verify", COMM_AB, "--max-degree", "5")
     assert code == 0
     assert sorted(calls) == [ASSOCIATIVE, DIALGEBRA]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_low_degree_has_no_fit_window(capsys, n):
+    # 2 <= lo < hi <= N is empty below N = 3, with or without --window
+    for extra in ((), ("--window", "2:3")):
+        code, out, err = run(capsys, "gk", COMM_AB, "--max-degree", str(n), *extra)
+        assert code == 1 and out == ""
+        assert "no fit window exists below degree 3" in err
+
+        code, out, _ = run(capsys, "verify", COMM_AB, "--max-degree", str(n), *extra)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"INFO no fit window exists for N = {n} < 3; growth-exponent checks skipped" in lines
+        assert "PASS axiom residuals vanish on 200 random triples" in lines
+        assert f"PASS count inequality termwise through degree {n}" in lines
+        assert not any("gap" in ln or "exponent ratio" in ln for ln in lines)
+
+        code, out, _ = run(capsys, "verify", COMM_AB, "--max-degree", str(n),
+                           "--format", "json", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["estimates"] == []
+        assert payload["gap"] is None and payload["slope_ratio"] is None
+        assert payload["theorem_a"]["ok"] and payload["prefix_suffix"]["ok"]
 
 
 def test_verify_capped_identity_scan_warns(capsys, monkeypatch):
@@ -383,6 +410,23 @@ def test_verify_warnings_ignore_hash_seed(tmp_path):
         "WARN approximate: lower-bound ideal / upper-bound basis (slack 2)",
         "WARN approximate: lower-bound ideal / upper-bound basis (slack 1)",
     ]
+
+
+def test_gf_run_imports_standard_library_only(tmp_path):
+    path = tmp_path / "gf7.dpres"
+    path.write_text("field gf 7\ngenerators a b\nrel [a b]@1 - 3*[b a]@1\n")
+    src = str(Path(digrow.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from digrow.cli import main\n"
+        f"assert main(['growth', {str(path)!r}, '--max-degree', '4']) == 0\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_outputs_are_byte_deterministic(capsys):

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from digrow.element import QQ, DiElement, PrimeField, axiom_residuals, parse_element, parse_field
+from digrow.element import (
+    QQ,
+    DiElement,
+    PrimeField,
+    _is_prime,
+    axiom_residuals,
+    parse_element,
+    parse_field,
+)
 from digrow.errors import AlphabetMismatch, FieldMismatch, ParseError
 from digrow.monomial import Alphabet, Disequence, parse_disequence
 
@@ -157,6 +165,30 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_prime_field_rejects_moduli_from_2_64():
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        PrimeField(2**64 + 13)
+    assert PrimeField(18446744073709551557).p == 2**64 - 59
+
+
+def test_is_prime_matches_sieve():
+    top = 200_000
+    sieve = bytearray([1]) * top
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(top**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, top, i)))
+    assert [n for n in range(top) if _is_prime(n)] == [n for n in range(top) if sieve[n]]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to several small bases, and two Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 2152302898747, 561, 41041):
+        assert not _is_prime(n)
+    for n in (2**61 - 1, 32003, 18446744073709551557):
+        assert _is_prime(n)
 
 
 def test_parse_field():

@@ -9,7 +9,6 @@ from digrow.errors import AlphabetMismatch, ParseError
 from digrow.monomial import (
     Alphabet,
     Disequence,
-    compare_lml,
     lprod,
     middle_submonomials,
     monomials,
@@ -76,10 +75,10 @@ def test_products_reject_mixed_alphabets():
 
 def test_compare_examples():
     # middle breaks the length tie before any letters are read
-    assert compare_lml(D("[a4 a3 a2]@1", A4), D("[a1 a3 a2]@2", A4)) < 0
+    assert D("[a4 a3 a2]@1", A4) < D("[a1 a3 a2]@2", A4)
     # length dominates everything
-    assert compare_lml(D("[a1 a2 a3 a4]@1", A4), D("[a1 a2 a4]@2", A4)) > 0
-    assert compare_lml(D("[a]@1", A), D("[a]@1", A)) == 0
+    assert D("[a1 a2 a3 a4]@1", A4) > D("[a1 a2 a4]@2", A4)
+    assert D("[a]@1", A) == D("[a]@1", A)
 
 
 def test_comparison_operators_match_compare():
@@ -120,9 +119,9 @@ def all_upto(alphabet, top):
 def test_order_total_and_strict_on_small_universe():
     ms = all_upto(AB, 3)
     for u, v in itertools.combinations(ms, 2):
-        c = compare_lml(u, v)
-        assert c != 0
-        assert compare_lml(v, u) == -c
+        assert u != v
+        assert (u < v) != (u > v)
+        assert (v < u) == (u > v) and (v > u) == (u < v)
 
 
 def test_one_sided_monotonicity_exhaustive():
@@ -147,8 +146,8 @@ def test_monotonicity_fails_without_middle_one_clause():
     u = D("[a b]@2", ABC)
     v = D("[b a]@1", ABC)
     w = D("[c]@1", ABC)
-    assert compare_lml(u, v) > 0
-    assert compare_lml(lprod(u, w), lprod(v, w)) < 0
+    assert u > v
+    assert lprod(u, w) < lprod(v, w)
 
 
 # ===== middle submonomials =================================================

@@ -34,7 +34,6 @@ from digrow.presentation import (
     basis_upto,
     collapse_middle,
     echelonize,
-    ideal_span_upto,
     normal_form,
     prefix_suffix_check,
 )
@@ -214,21 +213,20 @@ def test_echelonize_matches_dense_oracle():
 
 
 def test_ideal_span_goldens():
-    assert ideal_span_upto(Presentation(AB, QQ), 5) == []
+    assert basis_upto(Presentation(AB, QQ), 5).rows == {}
     rel = Presentation(AB, QQ, (E("[b]@1 - [a a]@2 + [a a]@1"),), slack=0)
-    got = ideal_span_upto(rel, 2)
+    got = basis_upto(rel, 2).rows.values()
     assert [r.format() for r in got] == ["[a a]@2 - [a a]@1 - [b]@1"]
     lcomm = Presentation(XY, QQ, (), ("lcomm",))
-    got = ideal_span_upto(lcomm, 2)
+    got = basis_upto(lcomm, 2).rows.values()
     assert [r.format() for r in got] == ["[y x]@2 - [x y]@2"]
 
 
 def test_ideal_span_members_reduce_to_zero():
-    pres = fixture("comm_ab")
-    table = basis_upto(pres, 4)
-    for row in ideal_span_upto(pres, 4):
-        if row.max_length() <= 4:
-            assert normal_form(row, table).is_zero
+    table = basis_upto(fixture("comm_ab"), 4)
+    assert table.rows
+    for row in table.rows.values():
+        assert normal_form(row, table).is_zero
 
 
 # ===== bases vs the oracle =================================================
