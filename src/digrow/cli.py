@@ -18,6 +18,7 @@ from .errors import ParseError, ResourceCapExceeded
 from .growth import (
     MAX_IDENTITY_PAIRS,
     GrowthSeries,
+    fit_window,
     gap_check,
     gk_estimate,
     growth_series,
@@ -33,6 +34,8 @@ from .presentation import (
     Presentation,
     basis_upto,
     canonical_json,
+    check_degree_bound,
+    check_reducible,
     normal_form,
     prefix_suffix_check,
 )
@@ -216,6 +219,7 @@ def cmd_nf(args) -> int:
     pres = load_presentation(args.file)
     _enforce_degree_cap(args, pres)
     x = parse_element(args.expr, pres.alphabet, pres.field)
+    check_reducible(x, args.max_degree, args.mode)
     table = basis_upto(pres, args.max_degree, args.mode, args.slack)
     nf = normal_form(x, table)
     if args.format == "json":
@@ -270,6 +274,8 @@ def cmd_growth(args) -> int:
 def cmd_gk(args) -> int:
     pres = load_presentation(args.file)
     _enforce_degree_cap(args, pres)
+    check_degree_bound(args.max_degree)
+    fit_window(args.max_degree, args.window)
     series = growth_series(pres, args.max_degree, args.mode, args.slack)
     est = gk_estimate(series, args.window)
     if args.format == "json":
@@ -305,6 +311,8 @@ def cmd_verify(args) -> int:
     pres = load_presentation(args.file)
     _enforce_degree_cap(args, pres)
     n = args.max_degree
+    if n >= 3:
+        fit_window(n, args.window)
     lines = []
     hard_failures = 0
 

@@ -222,9 +222,6 @@ class DiElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Disequence):
-        return self.terms.get(mono, self.field.zero)
-
     def leading(self):
         """(largest monomial, its coefficient), or None for the zero element."""
         if not self.terms:
@@ -473,7 +470,11 @@ def parse_element(text: str, alphabet: Alphabet, field=QQ) -> DiElement:
         tk = peek()
         if tk[0] == "num":
             i += 1
-            coeff = f.coerce(Fraction(tk[1]))
+            try:
+                coeff = f.coerce(Fraction(tk[1]))
+            except ZeroDivisionError:
+                raise ParseError(f"coefficient {tk[1]} has a zero denominator in {f.name}",
+                                 column=tk[2]) from None
             star = peek()
             if star[0] != "punct" or star[1] != "*":
                 raise ParseError("expected '*' after coefficient", column=star[2])

@@ -177,6 +177,19 @@ def default_window(N: int) -> tuple[int, int]:
     return (max(2, N // 4), N)
 
 
+def fit_window(N: int, window: tuple[int, int] | None = None) -> tuple[int, int]:
+    """The fit window for degree bound N: window, or the default; raises
+    ValueError unless 2 <= lo < hi <= N."""
+    if N < 3:
+        raise ValueError(f"no fit window exists below degree 3 (degree bound {N})")
+    if window is None:
+        window = default_window(N)
+    lo, hi = window
+    if not (2 <= lo < hi <= N):
+        raise ValueError(f"window {window} not within 2..{N}")
+    return window
+
+
 def gk_estimate(series: GrowthSeries, window: tuple[int, int] | None = None) -> GkEstimate:
     """Least-squares slope of log|B^{<=n}| against log n over the window.
 
@@ -185,14 +198,8 @@ def gk_estimate(series: GrowthSeries, window: tuple[int, int] | None = None) -> 
     series superpolynomial before any slope is trusted; what remains is
     polynomial of degree = slope.
     """
-    N = series.degree_bound
-    if N < 3:
-        raise ValueError(f"no fit window exists below degree 3 (degree bound {N})")
-    if window is None:
-        window = default_window(N)
+    window = fit_window(series.degree_bound, window)
     lo, hi = window
-    if not (2 <= lo < hi <= N):
-        raise ValueError(f"window {window} not within 2..{N}")
     cum = series.cumulative
     meta = {"mode": series.mode, "fingerprint": series.fingerprint}
 
@@ -389,7 +396,8 @@ class IdentityClassReport:
     """Which of the three product identities the quotient satisfies.
 
     exhaustive is False when some identity ran into the pair cap before it
-    finished or found a witness; such a scan draws no prediction.
+    finished or found a witness; such a scan draws no prediction, and
+    neither does a scan that found no pair to try.
     """
 
     holds: dict
@@ -457,8 +465,8 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
                     break
         pairs_checked += seen
 
-    if not exhaustive:
-        return IdentityClassReport(holds, witnesses, n, pairs_checked, (), False)
+    if not exhaustive or not pairs_checked:
+        return IdentityClassReport(holds, witnesses, n, pairs_checked, (), exhaustive)
     predictions = []
     names = {"lcomm": "x|-y = y|-x", "rcomm": "x-|y = y-|x", "cross": "x|-y = y-|x"}
     k = table_d.alphabet.size

@@ -53,9 +53,6 @@ class Alphabet:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def generator(self, name: str) -> "Disequence":
-        return Disequence(self, bytes([self.rank(name)]), 1)
-
     def generators(self) -> tuple["Disequence", ...]:
         return tuple(Disequence(self, bytes([i]), 1) for i in range(self.size))
 
@@ -86,14 +83,6 @@ class Disequence:
 
     def __setattr__(self, name, value):
         raise AttributeError("Disequence is immutable")
-
-    @classmethod
-    def from_letters(cls, alphabet: Alphabet, letters, middle: int) -> "Disequence":
-        return cls(alphabet, bytes(alphabet.rank(nm) for nm in letters), middle)
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
 
     @property
     def letters(self) -> tuple[str, ...]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 from .element import DiElement, QQ
 from .errors import (
@@ -105,9 +104,7 @@ def _universe_upto(alphabet: Alphabet, n: int, associative: bool) -> int:
 
 def _row_element(alphabet: Alphabet, field, piv: Disequence, tail: dict) -> DiElement:
     """The monic row piv + tail as an element."""
-    full = dict(tail)
-    full[piv] = field.one
-    return DiElement(alphabet, field, full, _clean=True)
+    return DiElement(alphabet, field, {**tail, piv: field.one}, _clean=True)
 
 
 # ===== presentations =======================================================
@@ -216,94 +213,60 @@ def _effective_slack(q: Presentation, explicit: int | None) -> int:
 
 # ===== reduction against monic rows ========================================
 
-# max-heap over monomials via negated keys; ranks fit in one byte
-_INV = bytes(255 - i for i in range(256))
 
+def _reduce_terms(terms, rows: dict, field) -> dict:
+    """Full normal form of (monomial, coefficient) pairs against rows
+    {pivot -> monic tail}; a monomial may repeat among the pairs.
 
-def _negkey(m: Disequence):
-    w = m.word
-    return (-len(w), -m.middle, w.translate(_INV))
-
-
-def _reduce_terms(terms: dict, rows: dict, field) -> dict:
-    """Full normal form of a term dict against rows {pivot -> monic tail}.
-
-    Tails contain no pivots, so each pivot occurrence is substituted once
-    and every surviving monomial is pivot-free.
+    Tails contain no pivots, so replacing each pivot term by -c*tail, in
+    any order, leaves only pivot-free monomials: one pass is the whole
+    normal form.
     """
-    coeffs = dict(terms)
-    heap = [(_negkey(m), m) for m in coeffs]
-    heapify(heap)
     out: dict = {}
-    submul = field.submul
-    zero = field.zero
-    get_row = rows.get
-    while heap:
-        m = heappop(heap)[1]
-        c = coeffs.pop(m, None)
-        if c is None or not c:
-            continue
+    get, get_row = out.get, rows.get
+    add, submul, zero = field.add, field.submul, field.zero
+    for m, c in terms:
         tail = get_row(m)
         if tail is None:
-            out[m] = c
-            continue
-        for m2, c2 in tail.items():
-            old = coeffs.get(m2)
-            if old is None:
-                coeffs[m2] = submul(zero, c, c2)
-                heappush(heap, (_negkey(m2), m2))
-            else:
-                coeffs[m2] = submul(old, c, c2)
-    return out
-
-
-class _Echelon:
-    """Monic, fully inter-reduced row set keyed by pivot monomial."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows: dict = {}
-        self._tails: dict = {}
-
-    def add(self, terms: dict):
-        """Reduce a candidate; insert if nonzero.  Returns the pivot or None."""
-        nf = _reduce_terms(terms, self.rows, self.field)
-        if not nf:
-            return None
-        return self.insert_reduced(nf)
-
-    def insert_reduced(self, nf: dict) -> Disequence:
-        # nf must be nonzero, fully reduced and owned by the caller
-        field = self.field
-        piv = max(nf, key=_SORT_KEY)
-        c0 = nf.pop(piv)
-        if c0 == field.one:
-            tail = nf
+            out[m] = add(get(m, zero), c)
         else:
-            inv = field.invert(c0)
-            tail = {m: field.mul(inv, c) for m, c in nf.items()}
-        self.rows[piv] = tail
-        tails = self._tails
-        for m in tail:
-            tails.setdefault(m, set()).add(piv)
-        affected = tails.pop(piv, None)
-        if affected:
-            # keep older rows pivot-free: substitute the new pivot away
-            for q in affected:
-                tq = self.rows[q]
-                c = tq.pop(piv)
-                for m, cm in tail.items():
-                    old = tq.get(m)
-                    val = field.submul(old if old is not None else field.zero, c, cm)
-                    if val:
-                        tq[m] = val
-                        if old is None:
-                            tails.setdefault(m, set()).add(q)
-                    else:
-                        # c*cm is nonzero, so old was present
-                        del tq[m]
-                        tails[m].discard(q)
-        return piv
+            for m2, c2 in tail.items():
+                out[m2] = submul(get(m2, zero), c, c2)
+    return {m: c for m, c in out.items() if c}
+
+
+def _insert_row(rows: dict, users: dict, nf: dict, field) -> Disequence:
+    """Insert a nonzero normal form as a monic row; return its pivot.
+
+    users maps each tail monomial to the pivots whose tails hold it.  Older
+    rows holding the new pivot get it substituted away, so tails stay
+    pivot-free.  nf becomes the new row's storage.
+    """
+    piv = max(nf, key=_SORT_KEY)
+    c0 = nf.pop(piv)
+    if c0 == field.one:
+        tail = nf
+    else:
+        inv = field.invert(c0)
+        tail = {m: field.mul(inv, c) for m, c in nf.items()}
+    rows[piv] = tail
+    for m in tail:
+        users.setdefault(m, set()).add(piv)
+    for q in users.pop(piv, ()):
+        tq = rows[q]
+        c = tq.pop(piv)
+        for m, cm in tail.items():
+            old = tq.get(m)
+            val = field.submul(old if old is not None else field.zero, c, cm)
+            if val:
+                tq[m] = val
+                if old is None:
+                    users.setdefault(m, set()).add(q)
+            else:
+                # c*cm is nonzero, so old was present
+                del tq[m]
+                users[m].discard(q)
+    return piv
 
 
 def echelonize(elements) -> list[DiElement]:
@@ -313,21 +276,20 @@ def echelonize(elements) -> list[DiElement]:
     pivot first.  The span of the input is preserved.
     """
     elements = list(elements)
-    alphabet = field = None
-    for x in elements:
-        if alphabet is None:
-            alphabet, field = x.alphabet, x.field
-        elif x.alphabet != alphabet:
-            raise AlphabetMismatch("mixing alphabets")
-        elif x.field != field:
-            raise FieldMismatch("mixing scalar fields")
-    ech = _Echelon(field if field is not None else QQ)
-    for x in elements:
-        ech.add(dict(x.terms))
-    if alphabet is None:
+    if not elements:
         return []
-    pivots = sorted(ech.rows, key=_SORT_KEY, reverse=True)
-    return [_row_element(alphabet, ech.field, p, ech.rows[p]) for p in pivots]
+    alphabet, field = elements[0].alphabet, elements[0].field
+    rows, users = {}, {}
+    for x in elements:
+        if x.alphabet != alphabet:
+            raise AlphabetMismatch("mixing alphabets")
+        if x.field != field:
+            raise FieldMismatch("mixing scalar fields")
+        nf = _reduce_terms(x.terms.items(), rows, field)
+        if nf:
+            _insert_row(rows, users, nf, field)
+    pivots = sorted(rows, key=_SORT_KEY, reverse=True)
+    return [_row_element(alphabet, field, p, rows[p]) for p in pivots]
 
 
 # ===== saturation ==========================================================
@@ -338,12 +300,12 @@ def _elimination_rows(q: Presentation, cap: int, associative: bool) -> dict:
 
     Returns the echelon rows {pivot: monic tail}.  Candidates wait in one
     bucket per top length; each inserted row sends its single-generator
-    multiples, both sides and both products, to the bucket of their length.
+    multiples, both sides and both products, to the bucket one above its
+    pivot's length.
     """
     alphabet, field = q.alphabet, q.field
-    one, minus, add = field.one, field.neg(field.one), field.add
-    ech = _Echelon(field)
-    rows = ech.rows
+    one, minus = field.one, field.neg(field.one)
+    rows, users = {}, {}
     gens = alphabet.generators()
     ops = (
         ((rprod, True), (rprod, False))
@@ -352,30 +314,19 @@ def _elimination_rows(q: Presentation, cap: int, associative: bool) -> dict:
     )
 
     def products(piv: Disequence):
-        full = dict(rows[piv])
-        full[piv] = one
+        row = [(piv, one), *rows[piv].items()]
         for g in gens:
             for mono_op, on_left in ops:
-                out: dict = {}
-                for m, c in full.items():
-                    mono = mono_op(g, m) if on_left else mono_op(m, g)
-                    old = out.get(mono)
-                    if old is None:
-                        out[mono] = c
-                    else:
-                        s = add(old, c)
-                        if s:
-                            out[mono] = s
-                        else:
-                            del out[mono]
-                if out:
-                    yield out
+                if on_left:
+                    yield [(mono_op(g, m), c) for m, c in row]
+                else:
+                    yield [(mono_op(m, g), c) for m, c in row]
 
     pend: list[list] = [[] for _ in range(cap + 1)]
     for r in q.relators:
         top = max(len(m.word) for m in r.terms)
         if top <= cap:
-            pend[top].append(dict(r.terms))
+            pend[top].append(r.terms.items())
     basis: dict[int, list] = {}  # degree -> basis monomials, for scheme instances
     reached = 0
     t = 1
@@ -387,16 +338,14 @@ def _elimination_rows(q: Presentation, cap: int, associative: bool) -> dict:
                     m for m in monomials(alphabet, t - 1, associative) if m not in rows
                 ]
             for m1, m2 in _scheme_instances(q.schemes, associative, t, basis):
-                pend[t].append({m1: one, m2: minus})
+                pend[t].append(((m1, one), (m2, minus)))
         bucket = pend[t]
         while bucket:
             nf = _reduce_terms(bucket.pop(), rows, field)
-            if not nf:
-                continue
-            piv = ech.insert_reduced(nf)
-            if len(piv.word) < cap:
-                for prod in products(piv):
-                    pend[max(len(m.word) for m in prod)].append(prod)
+            if nf:
+                piv = _insert_row(rows, users, nf, field)
+                if len(piv.word) < cap:
+                    pend[len(piv.word) + 1].extend(products(piv))
         # a late short pivot can drop work into lower buckets; go back
         t = next((s for s in range(1, t + 1) if pend[s]), t + 1)
     return rows
@@ -638,8 +587,7 @@ def basis_upto(
     congruence engine, everything else elimination; both give the same rows.
     """
     mode = _norm_mode(mode)
-    if n < 1:
-        raise ValueError("degree bound must be at least 1")
+    check_degree_bound(n)
     associative = mode == ASSOCIATIVE
     q = associated_associative(pres) if associative else pres
     eff = _effective_slack(q, slack)
@@ -663,6 +611,23 @@ def basis_upto(
                       pres.fingerprint, rows)
 
 
+def check_degree_bound(n: int) -> None:
+    """Raise unless n is a valid table degree bound."""
+    if n < 1:
+        raise ValueError("degree bound must be at least 1")
+
+
+def check_reducible(x: DiElement, degree_bound: int, mode: str) -> None:
+    """Raise unless a table of this degree bound and mode can reduce x."""
+    check_degree_bound(degree_bound)
+    if x.max_length() > degree_bound:
+        raise DegreeBoundExceeded(
+            f"element reaches degree {x.max_length()}, table covers {degree_bound}"
+        )
+    if _norm_mode(mode) == ASSOCIATIVE and any(m.middle != 1 for m in x.terms):
+        raise ValueError("associative tables reduce middle-1 elements only")
+
+
 def normal_form(x: DiElement, table: BasisTable) -> DiElement:
     """Canonical representative of x modulo the table's rows.
 
@@ -673,13 +638,8 @@ def normal_form(x: DiElement, table: BasisTable) -> DiElement:
         raise AlphabetMismatch("element over a different alphabet")
     if x.field != table.field:
         raise FieldMismatch("element over a different field")
-    if x.max_length() > table.degree_bound:
-        raise DegreeBoundExceeded(
-            f"element reaches degree {x.max_length()}, table covers {table.degree_bound}"
-        )
-    if table.mode == ASSOCIATIVE and any(m.middle != 1 for m in x.terms):
-        raise ValueError("associative tables reduce middle-1 elements only")
-    nf = _reduce_terms(x.terms, table._rows, table.field)
+    check_reducible(x, table.degree_bound, table.mode)
+    nf = _reduce_terms(x.terms.items(), table._rows, table.field)
     return DiElement(x.alphabet, x.field, nf, _clean=True)
 
 

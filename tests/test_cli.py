@@ -77,6 +77,13 @@ def test_parse_diagnostics_are_positioned():
         "modulus 6 is not prime at line 1, column 7"
     )
 
+    err = parse_error("generators a\nrel 1/0*[a]@1")
+    assert err.message == "coefficient 1/0 has a zero denominator in Q"
+    assert (err.line, err.column) == (2, 5)
+    err = parse_error("field gf 7\ngenerators a\nrel [a a]@1 + 1/7*[a]@1")
+    assert err.message == "coefficient 1/7 has a zero denominator in gf 7"
+    assert (err.line, err.column) == (3, 15)
+
 
 def test_parse_structural_errors():
     assert "missing generators" in parse_error("").message
@@ -281,6 +288,23 @@ def test_low_degree_has_no_fit_window(capsys, n):
         assert payload["theorem_a"]["ok"] and payload["prefix_suffix"]["ok"]
 
 
+def test_zero_pair_identity_scan_predicts_nothing(capsys):
+    # at N = 1 no two basis monomials fit, so no identity was tried
+    code, out, _ = run(capsys, "verify", COMM_AB, "--max-degree", "1")
+    assert code == 0
+    assert "PASS identity scan (0 pairs): holding = ['lcomm', 'rcomm', 'cross']" in out
+    assert "holds through degree" not in out
+    assert "free commutative quotient" not in out
+    code, out, _ = run(capsys, "verify", COMM_AB, "--max-degree", "1", "--format", "json")
+    ic = json.loads(out)["identity_class"]
+    assert ic["pairs_checked"] == 0 and ic["predictions"] == []
+    # the zero quotient has no basis at any degree
+    code, out, _ = run(capsys, "verify", ZERO, "--max-degree", "5")
+    assert code == 0
+    assert "PASS identity scan (0 pairs)" in out
+    assert "holds through degree" not in out
+
+
 def test_verify_capped_identity_scan_warns(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_IDENTITY_PAIRS", 10)
     code, out, _ = run(capsys, "verify", COMM_AB, "--max-degree", "5")
@@ -360,6 +384,30 @@ def test_csv_rejected_before_any_work(capsys, monkeypatch):
         assert "digrow: error: csv format applies to the growth verb only" in err
 
 
+def test_bad_flags_rejected_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("saturated before rejecting a bad flag")
+
+    monkeypatch.setattr(cli, "basis_upto", unreachable)
+    monkeypatch.setattr(cli, "growth_series", unreachable)
+    for argv, msg in (
+        (("gk", COMM_AB, "--window", "9:3"), "window (9, 3) not within 2..12"),
+        (("gk", COMM_AB, "--max-degree", "2"),
+         "no fit window exists below degree 3 (degree bound 2)"),
+        (("gk", COMM_AB, "--max-degree", "0"), "degree bound must be at least 1"),
+        (("nf", COMM_AB, "--expr", "[a]@1", "--max-degree", "0"),
+         "degree bound must be at least 1"),
+        (("verify", COMM_AB, "--window", "5:13"), "window (5, 13) not within 2..12"),
+        (("nf", COMM_AB, "--expr", "[a b a]@1", "--max-degree", "2"),
+         "element reaches degree 3, table covers 2"),
+        (("nf", COMM_AB, "--expr", "[a b]@2", "--mode", "assoc"),
+         "associative tables reduce middle-1 elements only"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err == f"digrow: error: {msg}\n", argv
+
+
 def test_invalid_inputs_exit_1(capsys, tmp_path):
     assert run(capsys, "growth", str(tmp_path / "missing.dpres"))[0] == 1
     assert run(capsys, "frobnicate", FREE_A)[0] == 1
@@ -375,6 +423,17 @@ def test_invalid_inputs_exit_1(capsys, tmp_path):
     bad.write_text("generators a a\n")
     code, _, err = run(capsys, "growth", str(bad))
     assert code == 1 and "line 1" in err
+
+    # zero denominators are positioned input errors, not tracebacks
+    code, out, err = run(capsys, "nf", FREE_A, "--expr", "[a]@1 + 1/0*[a]@1")
+    assert code == 1 and out == ""
+    assert err == ("digrow: error: coefficient 1/0 has a zero denominator in Q "
+                   "at line 1, column 9\n")
+    bad.write_text("field gf 7\ngenerators a\nrel 1/7*[a]@1\n")
+    code, out, err = run(capsys, "growth", str(bad))
+    assert code == 1 and out == ""
+    assert err == ("digrow: error: coefficient 1/7 has a zero denominator in gf 7 "
+                   "at line 3, column 5\n")
 
 
 # ===== output files and determinism ========================================

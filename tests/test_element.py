@@ -268,3 +268,16 @@ def test_parse_errors_carry_columns():
     for bad in ("", "2", "2 [a]@1", "[a]@1 [b]@1", "[a]@1 +", "$"):
         with pytest.raises(ParseError):
             E(bad)
+    for text, field, col in (
+        ("1/0*[a]@1", QQ, 1),
+        ("[b]@1 - 3/0*[a]@1", QQ, 9),
+        ("1/7*[a]@1", PrimeField(7), 1),
+        ("[b]@1 + 2/14*[a]@1", PrimeField(7), 9),
+    ):
+        with pytest.raises(ParseError) as exc:
+            E(text, field=field)
+        assert exc.value.column == col, text
+        assert f"has a zero denominator in {field.name}" in exc.value.message
+    # a denominator that is a unit mod p still parses
+    assert E("1/3*[a]@1", field=PrimeField(7)).terms == {D("[a]@1"): 5}
+

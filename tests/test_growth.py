@@ -21,6 +21,7 @@ from digrow.growth import (
     GkEstimate,
     GrowthSeries,
     default_window,
+    fit_window,
     gap_check,
     gk_estimate,
     growth_series,
@@ -28,7 +29,7 @@ from digrow.growth import (
     special_basis_check,
     theorem_a_check,
 )
-from digrow.presentation import ASSOCIATIVE, DIALGEBRA, basis_upto
+from digrow.presentation import ASSOCIATIVE, DIALGEBRA, SCHEME_TAGS, basis_upto
 
 
 def fixture(name):
@@ -211,8 +212,15 @@ def test_bounded_series():
 def test_window_validation():
     s = series_of(range(1, 11))
     for bad in ((1, 5), (5, 5), (7, 3), (2, 11), (0, 4)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"not within 2\.\.10$"):
             gk_estimate(s, bad)
+        # the same check, with no series at all
+        with pytest.raises(ValueError, match=r"not within 2\.\.10$"):
+            fit_window(10, bad)
+    assert fit_window(10) == default_window(10)
+    assert fit_window(10, (3, 7)) == (3, 7)
+    with pytest.raises(ValueError, match="no fit window exists below degree 3"):
+        fit_window(2)
 
 
 def test_estimate_json_fields():
@@ -389,6 +397,18 @@ def test_identity_check_respects_pair_cap():
     assert not report.exhaustive
     assert report.predictions == ()
     assert identity_class_check(pres, table).exhaustive
+
+
+def test_zero_pair_scan_predicts_nothing():
+    # no basis pair fits the degree bound, so nothing was checked
+    for name, n in (("zero_a", 5), ("comm_ab", 1)):
+        pres = fixture(name)
+        report = identity_class_check(pres, basis_upto(pres, n))
+        assert report.pairs_checked == 0
+        assert report.predictions == ()
+        # declared schemes still count as holding, so they do not FAIL
+        assert report.holds == {tag: True for tag in SCHEME_TAGS}
+        assert report.exhaustive
 
 
 def test_identity_check_requires_dialgebra_mode():

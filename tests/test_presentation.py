@@ -20,7 +20,7 @@ from digrow.errors import (
     FieldMismatch,
     ResourceCapExceeded,
 )
-from digrow.monomial import Alphabet, Disequence, parse_disequence
+from digrow.monomial import Alphabet, Disequence, monomials, parse_disequence
 from digrow.presentation import (
     ASSOCIATIVE,
     DIALGEBRA,
@@ -30,6 +30,7 @@ from digrow.presentation import (
     _binomial,
     _congruence_rows,
     _elimination_rows,
+    _reduce_terms,
     associated_associative,
     basis_upto,
     collapse_middle,
@@ -618,6 +619,22 @@ def test_tables_are_deterministic():
     assert d["homogeneous"] is True and d["slack"] == 0
 
 
+# a three-term relator of the dense benchmark workload (seed 1)
+DENSE_RELATOR = "-4*[a a b]@3 + 5*[a b a]@3 - 7*[b b a]@1"
+GF32003 = PrimeField(32003)
+
+
+def dense(field):
+    return Presentation(AB, field, (parse_element(DENSE_RELATOR, AB, field),))
+
+
+def assert_pivot_free(rows):
+    """Every tail term is below its pivot and is no pivot itself."""
+    for piv, tail in rows.items():
+        for m in tail:
+            assert m < piv and m not in rows, (piv, m)
+
+
 def test_basistable_invariants():
     table = basis_upto(fixture("comm_ab"), 4)
     pivots = table.pivots
@@ -628,16 +645,71 @@ def test_basistable_invariants():
     counts = table.counts_by_degree()
     assert sum(counts) == len(basis) == table.count_upto(4)
     assert table.count_upto(2) == counts[0] + counts[1]
-    piv_set = set(pivots)
-    for piv, row in table.rows.items():
-        lead, c = row.leading()
-        assert lead == piv and c == Fraction(1)
-        assert not (set(row.terms) - {piv}) & piv_set
     for m in basis:
         assert m in table
     for piv in pivots:
         assert piv not in table
     assert D("[a b a b a]@2") not in table  # beyond the bound
+
+    # rows are monic and no tail term is a pivot, on both engines
+    tables = [table]
+    for mode in (DIALGEBRA, ASSOCIATIVE):
+        tables.append(basis_upto(fixture("inhomog_ab"), 3, mode, slack=2))
+    for field in (QQ, GF32003):
+        assert not _binomial(dense(field))
+        tables.append(basis_upto(dense(field), 5))
+    for table in tables:
+        assert table.rows
+        piv_set = set(table.pivots)
+        for piv, row in table.rows.items():
+            lead, c = row.leading()
+            assert lead == piv and c == table.field.one
+            assert not (set(row.terms) - {piv}) & piv_set
+    # the same on the engine's own rows, before any slack filter
+    for mode, assoc in ((DIALGEBRA, False), (ASSOCIATIVE, True)):
+        pres = fixture("inhomog_ab")
+        q = associated_associative(pres) if assoc else pres
+        assert_pivot_free(_elimination_rows(q, 5, assoc))
+    for field in (QQ, GF32003):
+        assert_pivot_free(_elimination_rows(dense(field), 5, False))
+    # and on echelonize output
+    echelon = {}
+    for row in echelonize([E(DENSE_RELATOR), E("[a a b]@3 - [b]@1"), E("[b]@1 + [a]@1")]):
+        piv = row.leading()[0]
+        echelon[piv] = set(row.terms) - {piv}
+    assert len(echelon) == 3
+    assert_pivot_free(echelon)
+
+
+MONOS_UPTO_4 = [m for t in range(1, 5) for m in monomials(AB, t)]
+REDUCE_TABLES = [basis_upto(fixture("inhomog_ab"), 4), basis_upto(dense(GF32003), 4)]
+
+
+@given(
+    st.sampled_from(REDUCE_TABLES),
+    st.lists(st.tuples(st.sampled_from(MONOS_UPTO_4), st.integers(-9, 9)), max_size=8),
+    st.data(),
+)
+def test_reduce_terms_ignores_pair_order_and_repeats(table, pairs, data):
+    rows, field = table._rows, table.field
+    pairs = [(m, field.coerce(c)) for m, c in pairs]
+    given_pairs = list(pairs)
+    want = _reduce_terms(pairs, rows, field)
+    assert pairs == given_pairs  # the input is not consumed
+    assert all(want.values()) and not set(want) & set(rows)
+    # the normal form of the summed element
+    x = DiElement(AB, field)
+    for m, c in pairs:
+        x = x + DiElement(AB, field, {m: c})
+    assert want == normal_form(x, table).terms
+    # any order of the pairs
+    assert _reduce_terms(data.draw(st.permutations(pairs)), rows, field) == want
+    # one coefficient split across repeated pairs, in any order
+    split = []
+    for m, c in pairs:
+        a = field.coerce(data.draw(st.integers(-9, 9)))
+        split += [(m, a), (m, field.sub(c, a))]
+    assert _reduce_terms(data.draw(st.permutations(split)), rows, field) == want
 
 
 def test_zero_dialgebra():
