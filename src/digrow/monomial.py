@@ -9,6 +9,7 @@ elimination compares (length, middle, letters) lexicographically.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
 
@@ -214,6 +215,21 @@ def monomials(alphabet: Alphabet, length: int, associative: bool = False):
             yield Disequence(alphabet, w, m)
 
 
+_DIGITS = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+
+
+def _word_value(word: bytes, k: int) -> int:
+    """The word read in base k, with no per-letter Python loop for k <= 36."""
+    if k == 1:
+        return 0
+    if k <= 36:
+        return int(word.translate(_DIGITS), k)
+    value = 0
+    for b in word:
+        value = value * k + b
+    return value
+
+
 def position(m: Disequence) -> int:
     """The index at which monomials(m.alphabet, len(m.word), ...) yields m.
 
@@ -222,13 +238,87 @@ def position(m: Disequence) -> int:
     only, so the same formula indexes both modes.
     """
     k = m.alphabet.size
-    value = 0
-    for b in m.word:
-        value = value * k + b
-    return (m.middle - 1) * k ** len(m.word) + value
+    return (m.middle - 1) * k ** len(m.word) + _word_value(m.word, k)
 
 
 def universe_count(alphabet_size: int, length: int, associative: bool = False) -> int:
     """How many monomials of one length exist: t*k^t, or k^t with middles pinned."""
     n = alphabet_size**length
     return n if associative else length * n
+
+
+class KeyCodec:
+    """One int key per monomial of length 1..cap in one mode.
+
+    key = offset(t) + position(m) for m of length t, where offset(t) counts
+    the monomials shorter than t.  So key order is monomial order across
+    lengths, and the keys of length t run consecutively from offset(t) in
+    the order monomials() yields them.  A key splits into (length, middle,
+    word value); products with single generators are affine maps of keys.
+    """
+
+    __slots__ = ("alphabet", "associative", "_k", "_off", "_pow")
+
+    def __init__(self, alphabet: Alphabet, cap: int, associative: bool = False):
+        k = alphabet.size
+        self.alphabet, self.associative, self._k = alphabet, associative, k
+        self._pow = [k**t for t in range(cap + 2)]
+        # _off[t] = offset(t) for t = 0..cap + 1; offset(0) = offset(1) = 0,
+        # so bisect_right(_off, key) - 1 is the key's length
+        off = [0, 0]
+        for t in range(1, cap + 1):
+            off.append(off[-1] + universe_count(k, t, associative))
+        self._off = off
+
+    def offset(self, t: int) -> int:
+        """The first key of length t; offset(cap + 1) bounds all keys."""
+        return self._off[t]
+
+    def length(self, key: int) -> int:
+        return bisect_right(self._off, key) - 1
+
+    def split(self, key: int) -> tuple[int, int, int]:
+        """(length, middle, word value) of a key."""
+        t = bisect_right(self._off, key) - 1
+        m0, w = divmod(key - self._off[t], self._pow[t])
+        return t, m0 + 1, w
+
+    def encode(self, m: Disequence) -> int:
+        return self._off[len(m.word)] + position(m)
+
+    def decode(self, key: int) -> Disequence:
+        t, middle, w = self.split(key)
+        k = self._k
+        word = bytearray(t)
+        if k > 1:
+            for i in range(t - 1, -1, -1):
+                w, word[i] = divmod(w, k)
+        return Disequence(self.alphabet, bytes(word), middle)
+
+    def lprod(self, u: tuple, v: tuple) -> int:
+        """Key of lprod on two split keys: the middle moves to l1 + mid(v)."""
+        (l1, _, wu), (l2, mv, wv) = u, v
+        t = l1 + l2
+        return self._off[t] + (l1 + mv - 1) * self._pow[t] + wu * self._pow[l2] + wv
+
+    def rprod(self, u: tuple, v: tuple) -> int:
+        """Key of rprod on two split keys: the middle stays at mid(u)."""
+        (l1, mu, wu), (l2, _, wv) = u, v
+        t = l1 + l2
+        return self._off[t] + (mu - 1) * self._pow[t] + wu * self._pow[l2] + wv
+
+    def images(self, key: int) -> list[int]:
+        """Keys of the single-generator products of a key, in the order
+        [rprod(g, m) for g], [rprod(m, g) for g] and, in dialgebra mode,
+        [lprod(g, m) for g], [lprod(m, g) for g], g ascending.
+        """
+        off, k = self._off, self._k
+        t = bisect_right(off, key) - 1
+        K, W, o = self._pow[t], self._pow[t + 1], off[t + 1]
+        m0, w = divmod(key - off[t], K)
+        a, b = o + w, o + m0 * W + w * k  # g = 0 of rprod(g, m), rprod(m, g)
+        out = [*range(a, a + k * K, K), *range(b, b + k)]
+        if not self.associative:
+            c, d = a + (m0 + 1) * W, o + t * W + w * k  # lprod(g, m), lprod(m, g)
+            out += [*range(c, c + k * K, K), *range(d, d + k)]
+        return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .element import DiElement, QQ
@@ -30,7 +31,7 @@ from .errors import (
     FieldMismatch,
     ResourceCapExceeded,
 )
-from .monomial import Alphabet, Disequence, lprod, monomials, position, rprod, universe_count
+from .monomial import Alphabet, Disequence, KeyCodec, lprod, monomials, rprod, universe_count
 
 DIALGEBRA = "dialgebra"
 ASSOCIATIVE = "associative"
@@ -39,8 +40,6 @@ SCHEME_TAGS = ("lcomm", "rcomm", "cross")
 # desk-scale guard rails
 DEFAULT_UNIVERSE_CAP = 2_000_000
 MATERIALIZE_CAP = 5_000_000
-
-_SORT_KEY = Disequence.sort_key
 
 
 def _norm_mode(mode: str) -> str:
@@ -65,18 +64,29 @@ def scheme_pair(tag: str, u: Disequence, v: Disequence) -> tuple[Disequence, Dis
     return lprod(u, v), rprod(v, u)
 
 
-def _scheme_instances(schemes, associative: bool, total: int, basis: dict):
-    """The pairs (m1, m2), m1 != m2, that the schemes equate in degree `total`.
+def _key_scheme_pair(keys: KeyCodec, tag: str, u: tuple, v: tuple) -> tuple[int, int]:
+    """scheme_pair on split keys (see KeyCodec.split), as a pair of keys."""
+    if tag == "lcomm":
+        return keys.lprod(u, v), keys.lprod(v, u)
+    if tag == "rcomm":
+        return keys.rprod(u, v), keys.rprod(v, u)
+    return keys.lprod(u, v), keys.rprod(v, u)
+
+
+def _scheme_instances(schemes, keys: KeyCodec, total: int, basis: dict):
+    """The key pairs (m1, m2), m1 != m2, that the schemes equate in degree
+    `total`.
 
     Pairs range over basis monomials only, basis[length] listing those of
-    each lower length: an instance on a reducible argument differs from
-    instances on its reduction by ideal elements the closure already spans.
-    The same argument lets basis[length] be a superset of the final basis.
+    each lower length as split keys (see KeyCodec.split): an instance on a
+    reducible argument differs from instances on its reduction by ideal
+    elements the closure already spans.  The same argument lets
+    basis[length] be a superset of the final basis.
     """
     if total < 2 or not schemes:
         return
     # associative mode reads every scheme as plain commutativity
-    tags = ("rcomm",) if associative else [t for t in schemes if t != "cross"]
+    tags = ("rcomm",) if keys.associative else [t for t in schemes if t != "cross"]
     for l1 in range(1, total // 2 + 1):
         l2 = total - l1
         left, right = basis[l1], basis[l2]
@@ -84,15 +94,15 @@ def _scheme_instances(schemes, associative: bool, total: int, basis: dict):
             start = i + 1 if l2 == l1 else 0
             for v in right[start:]:
                 for tag in tags:
-                    m1, m2 = scheme_pair(tag, u, v)
+                    m1, m2 = _key_scheme_pair(keys, tag, u, v)
                     if m1 != m2:
                         yield m1, m2
-    if not associative and "cross" in schemes:
+    if not keys.associative and "cross" in schemes:
         # not antisymmetric, so all ordered pairs including (u, u)
         for l1 in range(1, total):
             for u in basis[l1]:
                 for v in basis[total - l1]:
-                    m1, m2 = scheme_pair("cross", u, v)
+                    m1, m2 = _key_scheme_pair(keys, "cross", u, v)
                     if m1 != m2:
                         yield m1, m2
 
@@ -228,21 +238,23 @@ def _reduce_terms(terms, rows: dict, field) -> dict:
     for m, c in terms:
         tail = get_row(m)
         if tail is None:
-            out[m] = add(get(m, zero), c)
+            old = get(m)
+            out[m] = c if old is None else add(old, c)
         else:
             for m2, c2 in tail.items():
                 out[m2] = submul(get(m2, zero), c, c2)
     return {m: c for m, c in out.items() if c}
 
 
-def _insert_row(rows: dict, users: dict, nf: dict, field) -> Disequence:
-    """Insert a nonzero normal form as a monic row; return its pivot.
+def _insert_row(rows: dict, users: dict, nf: dict, field):
+    """Insert a nonzero normal form as a monic row; return its pivot, the
+    largest monomial (int keys or Disequence, both ordered).
 
     users maps each tail monomial to the pivots whose tails hold it.  Older
     rows holding the new pivot get it substituted away, so tails stay
     pivot-free.  nf becomes the new row's storage.
     """
-    piv = max(nf, key=_SORT_KEY)
+    piv = max(nf)
     c0 = nf.pop(piv)
     if c0 == field.one:
         tail = nf
@@ -288,7 +300,7 @@ def echelonize(elements) -> list[DiElement]:
         nf = _reduce_terms(x.terms.items(), rows, field)
         if nf:
             _insert_row(rows, users, nf, field)
-    pivots = sorted(rows, key=_SORT_KEY, reverse=True)
+    pivots = sorted(rows, reverse=True)
     return [_row_element(alphabet, field, p, rows[p]) for p in pivots]
 
 
@@ -298,54 +310,48 @@ def echelonize(elements) -> list[DiElement]:
 def _elimination_rows(q: Presentation, cap: int, associative: bool) -> dict:
     """Degree-bucketed closure of the ideal span of q up to a length cap.
 
-    Returns the echelon rows {pivot: monic tail}.  Candidates wait in one
-    bucket per top length; each inserted row sends its single-generator
-    multiples, both sides and both products, to the bucket one above its
-    pivot's length.
+    Returns the echelon rows {pivot: monic tail}, keyed by KeyCodec(q.alphabet,
+    cap, associative).  Candidates wait in one bucket per top length; each
+    inserted row sends its single-generator multiples, both sides and both
+    products, to the bucket one above its pivot's length.
     """
-    alphabet, field = q.alphabet, q.field
+    field = q.field
+    keys = KeyCodec(q.alphabet, cap, associative)
+    images, length = keys.images, keys.length
     one, minus = field.one, field.neg(field.one)
     rows, users = {}, {}
-    gens = alphabet.generators()
-    ops = (
-        ((rprod, True), (rprod, False))
-        if associative
-        else ((lprod, True), (lprod, False), (rprod, True), (rprod, False))
-    )
 
-    def products(piv: Disequence):
-        row = [(piv, one), *rows[piv].items()]
-        for g in gens:
-            for mono_op, on_left in ops:
-                if on_left:
-                    yield [(mono_op(g, m), c) for m, c in row]
-                else:
-                    yield [(mono_op(m, g), c) for m, c in row]
+    def products(piv):
+        tail = rows[piv]
+        coeffs = (one, *tail.values())
+        # one column of keys per single-generator map, aligned with coeffs
+        cols = zip(images(piv), *map(images, tail))
+        return [list(zip(col, coeffs)) for col in cols]
 
     pend: list[list] = [[] for _ in range(cap + 1)]
     for r in q.relators:
         top = max(len(m.word) for m in r.terms)
         if top <= cap:
-            pend[top].append(r.terms.items())
-    basis: dict[int, list] = {}  # degree -> basis monomials, for scheme instances
+            pend[top].append([(keys.encode(m), c) for m, c in r.terms.items()])
+    basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
     reached = 0
     t = 1
     while t <= cap:
         if q.schemes and t > reached:
             reached = t
             if t > 1:
-                basis[t - 1] = [
-                    m for m in monomials(alphabet, t - 1, associative) if m not in rows
-                ]
-            for m1, m2 in _scheme_instances(q.schemes, associative, t, basis):
+                span = range(keys.offset(t - 1), keys.offset(t))
+                basis[t - 1] = [keys.split(x) for x in span if x not in rows]
+            for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
                 pend[t].append(((m1, one), (m2, minus)))
         bucket = pend[t]
         while bucket:
             nf = _reduce_terms(bucket.pop(), rows, field)
             if nf:
                 piv = _insert_row(rows, users, nf, field)
-                if len(piv.word) < cap:
-                    pend[len(piv.word) + 1].extend(products(piv))
+                top = length(piv)
+                if top < cap:
+                    pend[top + 1].extend(products(piv))
         # a late short pivot can drop work into lower buckets; go back
         t = next((s for s in range(1, t + 1) if pend[s]), t + 1)
     return rows
@@ -368,37 +374,40 @@ def _binomial(q: Presentation) -> bool:
 def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
     """The rows _elimination_rows(q, cap, associative) returns, for binomial q.
 
-    Degree by degree, a union-find over monomial positions (see position),
-    so position order is monomial order.  Each class is rooted at its
-    smallest position and may be killed.  The ideal at degree t is spanned
-    by the differences inside each class and the monomials of killed
-    classes; its reduced echelon form has the row {m: {root: -1}} for every
-    other member m of a live class and {m: {}} for every member of a killed
-    one.  Members of one class share one tail dict, and killed monomials
-    share one empty dict.  Classes at degree t come from the
-    single-generator images of the rows at degree t - 1, the relators of
-    length t and the scheme instances of total degree t.
+    Degree by degree, a union-find over the keys of that degree (see
+    KeyCodec), so key order is monomial order.  Each class is rooted at its
+    smallest key and may be killed.  The ideal at degree t is spanned by the
+    differences inside each class and the monomials of killed classes; its
+    reduced echelon form has the row {m: {root: -1}} for every other member
+    m of a live class and {m: {}} for every member of a killed one.  Members
+    of one class share one tail dict, and killed monomials share one empty
+    dict.  Classes at degree t come from the single-generator images of the
+    rows at degree t - 1, the relators of length t and the scheme instances
+    of total degree t.
     """
-    alphabet, field = q.alphabet, q.field
-    k = alphabet.size
-    gens = range(k)
+    field = q.field
+    keys = KeyCodec(q.alphabet, cap, associative)
+    images = keys.images
     minus = field.neg(field.one)
     relators: dict[int, list] = {}
     for r in q.relators:
-        terms = list(r.terms)
-        relators.setdefault(len(terms[0].word), []).append(terms)
+        t = r.max_length()  # binomial relators are homogeneous
+        if t <= cap:
+            relators.setdefault(t, []).append([keys.encode(m) for m in r.terms])
 
     rows: dict = {}
     dead: dict = {}
-    basis: dict[int, list] = {}  # degree -> basis monomials, for scheme instances
+    basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
     prev: list = []  # rows of degree t - 1 as (pivot, root), root -1 if killed
     for t in range(1, cap + 1):
-        K, W = k ** (t - 1), k**t
-        size = universe_count(k, t, associative)
+        off = keys.offset(t)
+        size = keys.offset(t + 1) - off
         parent = list(range(size))
         killed = bytearray(size)
 
-        def find(p):
+        def find(x):
+            # x is a key of degree t; returns its root's index x - off
+            p = x - off
             while parent[p] != p:
                 parent[p] = p = parent[parent[p]]
             return p
@@ -410,17 +419,6 @@ def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
                     a, b = b, a
                 parent[b] = a
                 killed[a] |= killed[b]
-
-        def images(x):
-            # x = (middle - 1) * K + w at degree t - 1; in associative mode
-            # x < K, so only the two rprod maps and word values remain
-            m1, w = divmod(x, K)
-            out = [g * K + w for g in gens]  # rprod(g, x)
-            out += [m1 * W + w * k + g for g in gens]  # rprod(x, g)
-            if not associative:
-                out += [(m1 + 1) * W + g * K + w for g in gens]  # lprod(g, x)
-                out += [(t - 1) * W + w * k + g for g in gens]  # lprod(x, g)
-            return out
 
         root_images: dict = {}
         for x, r in prev:
@@ -435,30 +433,30 @@ def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
                 union(a, b)
         for terms in relators.get(t, ()):
             if len(terms) == 1:
-                killed[find(position(terms[0]))] = 1
+                killed[find(terms[0])] = 1
             else:
-                union(position(terms[0]), position(terms[1]))
-        for m1, m2 in _scheme_instances(q.schemes, associative, t, basis):
-            union(position(m1), position(m2))
+                union(*terms)
+        for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
+            union(m1, m2)
 
-        # a root is its class's smallest position, so its tail exists
-        # before any other member comes up
+        # a root is its class's smallest key, so its tail exists before any
+        # other member comes up
         prev = []
         tails: dict = {}
         live = []
-        for p, mono in enumerate(monomials(alphabet, t, associative)):
-            r = find(p)
+        for x in range(off, off + size):
+            r = find(x)
             if killed[r]:
-                prev.append((p, -1))
-                rows[mono] = dead
-            elif r != p:
-                prev.append((p, r))
-                rows[mono] = tails[r]
+                prev.append((x, -1))
+                rows[x] = dead
+            elif r != x - off:
+                prev.append((x, r + off))
+                rows[x] = tails[r]
             else:
-                tails[p] = {mono: minus}
-                live.append(mono)
+                tails[r] = {x: minus}
+                live.append(x)
         if q.schemes:
-            basis[t] = live
+            basis[t] = [keys.split(x) for x in live]
     return rows
 
 
@@ -471,7 +469,9 @@ class BasisTable:
     rows maps each pivot monomial to its monic reduced row; basis is every
     other monomial of length <= degree_bound.  exact is False when
     inhomogeneous relators force truncation, in which case the stored span
-    is a lower bound on the ideal and the basis an upper bound.
+    is a lower bound on the ideal and the basis an upper bound.  The rows
+    are stored keyed by int (see KeyCodec) and decoded to Disequence only
+    when read.
     """
 
     __slots__ = (
@@ -482,12 +482,14 @@ class BasisTable:
         "slack",
         "homogeneous",
         "fingerprint",
+        "_keys",
         "_rows",
         "_basis",
         "_row_elements",
     )
 
-    def __init__(self, alphabet, field, mode, degree_bound, slack, homogeneous, fingerprint, rows):
+    def __init__(self, alphabet, field, mode, degree_bound, slack, homogeneous, fingerprint,
+                 keys, rows):
         self.alphabet = alphabet
         self.field = field
         self.mode = mode
@@ -495,6 +497,7 @@ class BasisTable:
         self.slack = slack
         self.homogeneous = homogeneous
         self.fingerprint = fingerprint
+        self._keys = keys
         self._rows = rows
         self._basis = None
         self._row_elements = None
@@ -505,32 +508,37 @@ class BasisTable:
 
     @property
     def pivots(self) -> list[Disequence]:
-        return sorted(self._rows, key=_SORT_KEY)
+        return [self._keys.decode(p) for p in sorted(self._rows)]
 
     @property
     def rows(self) -> dict:
         if self._row_elements is None:
-            self._row_elements = {
-                piv: _row_element(self.alphabet, self.field, piv, self._rows[piv])
-                for piv in sorted(self._rows, key=_SORT_KEY)
-            }
+            decode = self._keys.decode
+            out = {}
+            for p in sorted(self._rows):
+                piv = decode(p)
+                tail = {decode(m): c for m, c in self._rows[p].items()}
+                out[piv] = _row_element(self.alphabet, self.field, piv, tail)
+            self._row_elements = out
         return self._row_elements
 
     @property
     def basis(self) -> list[Disequence]:
         if self._basis is None:
             assoc = self.mode == ASSOCIATIVE
-            total = _universe_upto(self.alphabet, self.degree_bound, assoc)
+            total = self._keys.offset(self.degree_bound + 1)
             if total > MATERIALIZE_CAP:
                 raise ResourceCapExceeded(
                     f"materializing the basis up to degree {self.degree_bound} "
                     f"would enumerate {total} monomials"
                 )
-            rows = self._rows
+            rows, offset = self._rows, self._keys.offset
             out = []
             for t in range(1, self.degree_bound + 1):
+                # keys of length t run consecutively in enumeration order
                 out.extend(
-                    m for m in monomials(self.alphabet, t, assoc) if m not in rows
+                    m for x, m in enumerate(monomials(self.alphabet, t, assoc), offset(t))
+                    if x not in rows
                 )
             self._basis = out
         return self._basis
@@ -539,18 +547,17 @@ class BasisTable:
         return (
             len(mono.word) <= self.degree_bound
             and mono.alphabet == self.alphabet
-            and mono not in self._rows
             and (self.mode != ASSOCIATIVE or mono.middle == 1)
+            and self._keys.encode(mono) not in self._rows
         )
 
     def counts_by_degree(self) -> list[int]:
         """Basis size per degree 1..degree_bound, no materialization needed."""
-        assoc = self.mode == ASSOCIATIVE
-        piv_at = [0] * (self.degree_bound + 1)
-        for piv in self._rows:
-            piv_at[len(piv.word)] += 1
+        offset = self._keys.offset
+        pivots = sorted(self._rows)
+        starts = [bisect_left(pivots, offset(t)) for t in range(1, self.degree_bound + 2)]
         return [
-            universe_count(self.alphabet.size, t, assoc) - piv_at[t]
+            offset(t + 1) - offset(t) - (starts[t] - starts[t - 1])
             for t in range(1, self.degree_bound + 1)
         ]
 
@@ -591,9 +598,9 @@ def basis_upto(
     associative = mode == ASSOCIATIVE
     q = associated_associative(pres) if associative else pres
     eff = _effective_slack(q, slack)
+    cap = n + eff
     rows = {}
     if q.relators or q.schemes:
-        cap = n + eff
         if max_universe is None:
             max_universe = DEFAULT_UNIVERSE_CAP
         total = _universe_upto(q.alphabet, cap, associative)
@@ -604,11 +611,13 @@ def basis_upto(
             )
         engine = _congruence_rows if _binomial(q) else _elimination_rows
         rows = engine(q, cap, associative)
+    keys = KeyCodec(q.alphabet, cap, associative)
     if eff:
         # rows reach degree n + eff; only slack puts them beyond n
-        rows = {piv: tail for piv, tail in rows.items() if len(piv.word) <= n}
+        end = keys.offset(n + 1)
+        rows = {piv: tail for piv, tail in rows.items() if piv < end}
     return BasisTable(pres.alphabet, pres.field, mode, n, eff, q.homogeneous,
-                      pres.fingerprint, rows)
+                      pres.fingerprint, keys, rows)
 
 
 def check_degree_bound(n: int) -> None:
@@ -639,8 +648,12 @@ def normal_form(x: DiElement, table: BasisTable) -> DiElement:
     if x.field != table.field:
         raise FieldMismatch("element over a different field")
     check_reducible(x, table.degree_bound, table.mode)
-    nf = _reduce_terms(x.terms.items(), table._rows, table.field)
-    return DiElement(x.alphabet, x.field, nf, _clean=True)
+    keys = table._keys
+    nf = _reduce_terms(
+        [(keys.encode(m), c) for m, c in x.terms.items()], table._rows, table.field
+    )
+    return DiElement(x.alphabet, x.field, {keys.decode(m): c for m, c in nf.items()},
+                     _clean=True)
 
 
 # ===== structural check: prefixes and suffixes =============================

@@ -504,3 +504,30 @@ def test_outputs_are_byte_deterministic(capsys):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/traced.py wraps digrow calls by (module, attribute) and imports
+    # names from digrow; read both from its source, without running it
+    import ast
+    import importlib
+
+    traced = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    tree = ast.parse(traced.read_text(encoding="utf-8"))
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    )
+    hooks = [(module, attr) for module, attr, _ in wrapped]
+    hooks += [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("digrow")
+        for alias in node.names
+    ]
+    assert len(hooks) > len(wrapped)
+    for module, attr in hooks:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    assert isinstance(presentation.BasisTable.basis, property)

@@ -9,6 +9,7 @@ from digrow.errors import AlphabetMismatch, ParseError
 from digrow.monomial import (
     Alphabet,
     Disequence,
+    KeyCodec,
     lprod,
     middle_submonomials,
     monomials,
@@ -103,10 +104,43 @@ def test_enumeration_is_sorted_and_counted():
 
 def test_position_is_the_enumeration_index():
     for alphabet in (A, AB, ABC):
-        for t in range(1, 5):
-            for associative in (False, True):
+        gens = alphabet.generators()
+        for associative in (False, True):
+            keys = KeyCodec(alphabet, 5, associative)
+            key = 0
+            previous = None
+            for t in range(1, 6):
+                assert keys.offset(t) == key
                 for i, m in enumerate(monomials(alphabet, t, associative)):
                     assert position(m) == i
+                    # keys run consecutively across lengths, in monomial order
+                    assert keys.encode(m) == key and keys.length(key) == t
+                    assert keys.decode(key) == m
+                    assert previous is None or previous.sort_key() < m.sort_key()
+                    previous = m
+                    if t < 5:
+                        want = [rprod(g, m) for g in gens] + [rprod(m, g) for g in gens]
+                        if not associative:
+                            want += [lprod(g, m) for g in gens] + [lprod(m, g) for g in gens]
+                        assert [keys.decode(y) for y in keys.images(key)] == want
+                    key += 1
+            assert keys.offset(6) == key
+
+    # beyond 36 letters the word value is read letter by letter
+    big = Alphabet(tuple(f"g{i}" for i in range(40)))
+    keys = KeyCodec(big, 2)
+    for key, m in enumerate(m for t in (1, 2) for m in monomials(big, t)):
+        assert keys.encode(m) == key and keys.decode(key) == m
+
+    # one-letter words of length 192, both modes
+    for associative in (False, True):
+        keys = KeyCodec(A, 192, associative)
+        for middle in (1, 96, 192)[: 1 if associative else 3]:
+            m = Disequence(A, bytes(192), middle)
+            key = keys.encode(m)
+            assert keys.decode(key) == m and keys.length(key) == 192
+            assert key == (191 if associative else 191 * 192 // 2 + middle - 1)
+            assert keys.split(key) == (192, middle, 0)
 
 
 def all_upto(alphabet, top):

@@ -20,7 +20,7 @@ from digrow.errors import (
     FieldMismatch,
     ResourceCapExceeded,
 )
-from digrow.monomial import Alphabet, Disequence, monomials, parse_disequence
+from digrow.monomial import Alphabet, Disequence, KeyCodec, monomials, parse_disequence
 from digrow.presentation import (
     ASSOCIATIVE,
     DIALGEBRA,
@@ -30,6 +30,7 @@ from digrow.presentation import (
     _binomial,
     _congruence_rows,
     _elimination_rows,
+    _key_scheme_pair,
     _reduce_terms,
     associated_associative,
     basis_upto,
@@ -37,6 +38,7 @@ from digrow.presentation import (
     echelonize,
     normal_form,
     prefix_suffix_check,
+    scheme_pair,
 )
 from digrow import fixture_path
 
@@ -311,8 +313,9 @@ def test_congruence_rows_match_elimination_and_oracle(pres, assoc):
     q = associated_associative(pres) if assoc else pres
     assert _binomial(q)
     k = pres.alphabet.size
-    cap = {1: 12, 2: 6, 3: 4}[k]
-    assert _congruence_rows(q, cap, assoc) == _elimination_rows(q, cap, assoc)
+    # caps below a relator's length too
+    for cap in (1, 2, {1: 12, 2: 6, 3: 4}[k]):
+        assert _congruence_rows(q, cap, assoc) == _elimination_rows(q, cap, assoc)
 
     # the span of c*(m1 - m2) is the span of m1 - m2 over every field
     rels = [
@@ -324,6 +327,24 @@ def test_congruence_rows_match_elimination_and_oracle(pres, assoc):
     assert table.counts_by_degree() == o_basis_counts(
         pres.alphabet.names, rels, pres.schemes, n, associative=assoc
     )
+
+
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_key_scheme_pairs_match_scheme_pair(k, assoc, data):
+    alphabet = Alphabet(tuple("abc"[:k]))
+
+    def mono():
+        length = data.draw(st.integers(1, 4))
+        word = bytes(data.draw(st.integers(0, k - 1)) for _ in range(length))
+        return Disequence(alphabet, word, 1 if assoc else data.draw(st.integers(1, length)))
+
+    u, v = mono(), mono()
+    keys = KeyCodec(alphabet, len(u.word) + len(v.word), assoc)
+    su, sv = keys.split(keys.encode(u)), keys.split(keys.encode(v))
+    # associative mode reads every scheme as rcomm, on middle-1 monomials
+    for tag in ("rcomm",) if assoc else SCHEME_TAGS:
+        got = _key_scheme_pair(keys, tag, su, sv)
+        assert tuple(map(keys.decode, got)) == scheme_pair(tag, u, v)
 
 
 def test_binomial_predicate():
@@ -650,6 +671,10 @@ def test_basistable_invariants():
     for piv in pivots:
         assert piv not in table
     assert D("[a b a b a]@2") not in table  # beyond the bound
+    # slack rows beyond the bound stay out: [a a]@1, the first monomial of
+    # length 2, is a pivot at degree 2 only
+    slack_table = basis_upto(Presentation(AB, QQ, (E("[a a]@1 - [b]@1"),)), 1, slack=1)
+    assert slack_table.pivots == [] and slack_table.counts_by_degree() == [2]
 
     # rows are monic and no tail term is a pivot, on both engines
     tables = [table]
@@ -691,17 +716,18 @@ REDUCE_TABLES = [basis_upto(fixture("inhomog_ab"), 4), basis_upto(dense(GF32003)
     st.data(),
 )
 def test_reduce_terms_ignores_pair_order_and_repeats(table, pairs, data):
-    rows, field = table._rows, table.field
-    pairs = [(m, field.coerce(c)) for m, c in pairs]
+    rows, field, keys = table._rows, table.field, table._keys
+    monos = [(m, field.coerce(c)) for m, c in pairs]
+    pairs = [(keys.encode(m), c) for m, c in monos]
     given_pairs = list(pairs)
     want = _reduce_terms(pairs, rows, field)
     assert pairs == given_pairs  # the input is not consumed
     assert all(want.values()) and not set(want) & set(rows)
     # the normal form of the summed element
     x = DiElement(AB, field)
-    for m, c in pairs:
+    for m, c in monos:
         x = x + DiElement(AB, field, {m: c})
-    assert want == normal_form(x, table).terms
+    assert want == {keys.encode(m): c for m, c in normal_form(x, table).terms.items()}
     # any order of the pairs
     assert _reduce_terms(data.draw(st.permutations(pairs)), rows, field) == want
     # one coefficient split across repeated pairs, in any order
