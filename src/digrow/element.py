@@ -1,9 +1,10 @@
 """Sparse linear combinations of monomials over an exact scalar field.
 
 Coefficients are either rationals (fractions.Fraction, always reduced) or
-elements of a prime field stored as plain ints in [0, p).  All arithmetic
-goes through a field object so the same code serves both.  Floating point
-never appears here.
+elements of a prime field stored as plain ints in [0, p).  Element
+arithmetic goes through a field object so the same code serves both; the
+elimination kernel in presentation.py works on plain ints instead and
+converts at its edges.  Floating point never appears here.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class RationalField:
         if not a:
             raise ZeroDivisionError("inverting 0")
         return 1 / a
-
-    def submul(self, a, b, c):
-        # a - b*c, the single hot operation of elimination
-        return a - b * c
 
     def format(self, a) -> str:
         return str(a)
@@ -144,9 +141,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverting 0")
         return pow(a, self.p - 2, self.p)
-
-    def submul(self, a, b, c):
-        return (a - b * c) % self.p
 
     def format(self, a) -> str:
         return str(a % self.p)

@@ -15,17 +15,18 @@ import math
 from dataclasses import dataclass
 from statistics import linear_regression
 
-from .element import DiElement
 from .presentation import (
     ASSOCIATIVE,
     DIALGEBRA,
     SCHEME_TAGS,
     BasisTable,
     Presentation,
+    _key_scheme_pair,
+    _modulus,
+    _reduce_terms,
     basis_upto,
     canonical_json,
-    normal_form,
-    scheme_pair,
+    normal_form,  # unused here; perfbench/traced.py wraps growth.normal_form
 )
 
 # classification thresholds; the gap band sits strictly inside (1, 2)
@@ -424,14 +425,15 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
     Pairs range over basis monomials with total length within the table's
     degree bound (capped at max_pairs per identity); each instance must
     reduce to zero.  Holding identities force integer growth exponents
-    bounded by the alphabet size.
+    bounded by the alphabet size.  The scan runs on split keys against the
+    table's kernel rows and decodes only a witness.
     """
     if table_d.mode != DIALGEBRA:
         raise ValueError("needs a dialgebra-mode table")
     n = table_d.degree_bound
-    basis = table_d.basis
-    field = table_d.field
-    one, minus = field.one, field.neg(field.one)
+    keys, rows, p = table_d._keys, table_d._rows, _modulus(table_d.field)
+    basis = table_d._basis_keys()
+    split = [keys.split(x) for x in basis]
     holds = {tag: True for tag in SCHEME_TAGS}
     witnesses: dict = {}
     pairs_checked = 0
@@ -440,27 +442,28 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
     for tag in SCHEME_TAGS:
         seen = 0
         done = False
-        for i, u in enumerate(basis):
+        for i, u in enumerate(split):
             if done:
                 break
             # the cross identity is not symmetric in (u, v); include u = v
             start = i if tag == "cross" else i + 1
             # the basis ascends by length, so no later v fits either
-            for v in basis[start:]:
-                if len(u.word) + len(v.word) > n:
+            for j in range(start, len(split)):
+                v = split[j]
+                if u[0] + v[0] > n:
                     break
                 if seen >= max_pairs:
                     exhaustive = False
                     done = True
                     break
                 seen += 1
-                m1, m2 = scheme_pair(tag, u, v)
+                m1, m2 = _key_scheme_pair(keys, tag, u, v)
                 if m1 == m2:
                     continue
-                x = DiElement(table_d.alphabet, field, {m1: one, m2: minus}, _clean=True)
-                if not normal_form(x, table_d).is_zero:
+                if _reduce_terms(((m1, 1), (m2, -1)), rows, p)[1]:
                     holds[tag] = False
-                    witnesses[tag] = f"{u.format()}, {v.format()}"
+                    u_mono, v_mono = keys.decode(basis[i]), keys.decode(basis[j])
+                    witnesses[tag] = f"{u_mono.format()}, {v_mono.format()}"
                     done = True
                     break
         pairs_checked += seen

@@ -19,12 +19,16 @@ from homogeneous input are exact and say so.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
-from .element import DiElement, QQ
+from .element import DiElement, PrimeField, QQ
 from .errors import (
     AlphabetMismatch,
     DegreeBoundExceeded,
@@ -110,11 +114,6 @@ def _scheme_instances(schemes, keys: KeyCodec, total: int, basis: dict):
 def _universe_upto(alphabet: Alphabet, n: int, associative: bool) -> int:
     """How many monomials of length 1..n exist in the given mode."""
     return sum(universe_count(alphabet.size, t, associative) for t in range(1, n + 1))
-
-
-def _row_element(alphabet: Alphabet, field, piv: Disequence, tail: dict) -> DiElement:
-    """The monic row piv + tail as an element."""
-    return DiElement(alphabet, field, {**tail, piv: field.one}, _clean=True)
 
 
 # ===== presentations =======================================================
@@ -221,55 +220,124 @@ def _effective_slack(q: Presentation, explicit: int | None) -> int:
     return q.length_spread()
 
 
-# ===== reduction against monic rows ========================================
+# ===== the integer elimination kernel =====================================
+#
+# One kernel serves both fields.  A row is (d, tail) with int coefficients
+# and stands for the element piv + tail/d; its tail holds no pivot.  Over Q
+# (modulus p = 0) d > 0 and gcd(d, *tail.values()) == 1; over GF(p) d == 1
+# and the entries lie in [0, p).  Every killed monomial shares the row
+# _KILLED.  Coefficients become Fraction or residue only at the edges: the
+# inputs in _integer_terms, the outputs in _coefficient.
+
+_KILLED = (1, MappingProxyType({}))
 
 
-def _reduce_terms(terms, rows: dict, field) -> dict:
-    """Full normal form of (monomial, coefficient) pairs against rows
-    {pivot -> monic tail}; a monomial may repeat among the pairs.
+def _modulus(field) -> int:
+    """The kernel's view of a field: 0 for Q, p for GF(p)."""
+    return field.p if isinstance(field, PrimeField) else 0
 
-    Tails contain no pivots, so replacing each pivot term by -c*tail, in
-    any order, leaves only pivot-free monomials: one pass is the whole
-    normal form.
+
+def _integer_terms(terms, p: int, encode) -> tuple[int, list]:
+    """(L, [(encode(m), L*c)]) for (monomial, coefficient) pairs.
+
+    Over Q, L is the lcm of the denominators; over GF(p) it is 1.
+    """
+    if p:
+        return 1, [(encode(m), c) for m, c in terms]
+    terms = list(terms)
+    L = lcm(*(c.denominator for _, c in terms))
+    return L, [(encode(m), c.numerator * (L // c.denominator)) for m, c in terms]
+
+
+def _coefficient(c: int, den: int, p: int):
+    """The field value of c/den, for a kernel result over scale den."""
+    return c if p else Fraction(c, den)
+
+
+def _reduce_terms(terms, rows: dict, p: int) -> tuple[int, dict]:
+    """Normal form of (key, int coefficient) pairs against rows; a key may
+    repeat among the pairs.  Returns (L, L*nf) with L > 0 and zero terms
+    dropped; over GF(p), L == 1 and the entries lie in [0, p).
+
+    Tails contain no pivots, so replacing each pivot term c*piv by
+    -c*tail/d, in any order, leaves only pivot-free monomials: one pass is
+    the whole normal form.  The partial sum is kept times L, and rescaled
+    only when a row's d does not divide L*c.
     """
     out: dict = {}
     get, get_row = out.get, rows.get
-    add, submul, zero = field.add, field.submul, field.zero
+    L = 1
     for m, c in terms:
-        tail = get_row(m)
-        if tail is None:
-            old = get(m)
-            out[m] = c if old is None else add(old, c)
-        else:
-            for m2, c2 in tail.items():
-                out[m2] = submul(get(m2, zero), c, c2)
-    return {m: c for m, c in out.items() if c}
+        row = get_row(m)
+        if row is None:
+            out[m] = get(m, 0) + L * c
+            continue
+        d, tail = row
+        c *= L
+        if d != 1:
+            c, r = divmod(c, d)
+            if r:
+                g = gcd(r, d)
+                f = d // g
+                L *= f
+                for x in out:
+                    out[x] *= f
+                c = c * f + r // g
+        for m2, c2 in tail.items():
+            out[m2] = get(m2, 0) - c * c2
+    if p:
+        return 1, {m: r for m, v in out.items() if (r := v % p)}
+    return L, {m: v for m, v in out.items() if v}
 
 
-def _insert_row(rows: dict, users: dict, nf: dict, field):
-    """Insert a nonzero normal form as a monic row; return its pivot, the
-    largest monomial (int keys or Disequence, both ordered).
+def _insert_row(rows: dict, users: dict, nf: dict, p: int):
+    """Insert a nonzero normal form (any nonzero multiple) as a row; return
+    its pivot, the largest key.
 
-    users maps each tail monomial to the pivots whose tails hold it.  Older
-    rows holding the new pivot get it substituted away, so tails stay
-    pivot-free.  nf becomes the new row's storage.
+    users maps each tail key to the pivots whose tails hold it.  Older rows
+    holding the new pivot get it substituted away, so tails stay pivot-free,
+    and are made primitive again over Q.  nf becomes the new row's storage.
     """
     piv = max(nf)
     c0 = nf.pop(piv)
-    if c0 == field.one:
-        tail = nf
+    if not nf:
+        rows[piv] = row = _KILLED
     else:
-        inv = field.invert(c0)
-        tail = {m: field.mul(inv, c) for m, c in nf.items()}
-    rows[piv] = tail
-    for m in tail:
-        users.setdefault(m, set()).add(piv)
+        if p:
+            if c0 != 1:
+                inv = pow(c0, -1, p)
+                for m in nf:
+                    nf[m] = nf[m] * inv % p
+            c0 = 1
+        else:
+            g = gcd(c0, *nf.values())
+            if c0 < 0:
+                g = -g
+            if g != 1:
+                c0 //= g
+                for m in nf:
+                    nf[m] //= g
+        rows[piv] = row = (c0, nf)
+        for m in nf:
+            users.setdefault(m, set()).add(piv)
+    d, tail = row
     for q in users.pop(piv, ()):
-        tq = rows[q]
+        dq, tq = rows[q]
         c = tq.pop(piv)
+        # q + (c*piv + tq)/dq with piv = -tail/d: scale by d/g, subtract
+        # (c/g)*tail, over the denominator dq*d/g
+        if not p:
+            g = gcd(c, d)
+            a, c = d // g, c // g
+            if a != 1:
+                dq *= a
+                for m in tq:
+                    tq[m] *= a
         for m, cm in tail.items():
             old = tq.get(m)
-            val = field.submul(old if old is not None else field.zero, c, cm)
+            val = (old or 0) - c * cm
+            if p:
+                val %= p
             if val:
                 tq[m] = val
                 if old is None:
@@ -278,7 +346,25 @@ def _insert_row(rows: dict, users: dict, nf: dict, field):
                 # c*cm is nonzero, so old was present
                 del tq[m]
                 users[m].discard(q)
+        if not tq:
+            rows[q] = _KILLED
+        elif dq != 1:
+            g = gcd(dq, *tq.values())
+            if g != 1:
+                dq //= g
+                for m in tq:
+                    tq[m] //= g
+            rows[q] = (dq, tq)
     return piv
+
+
+def _row_element(keys: KeyCodec, field, p: int, piv: int, row: tuple) -> DiElement:
+    """The kernel row piv + tail/d as an element."""
+    d, tail = row
+    decode = keys.decode
+    terms = {decode(m): _coefficient(c, d, p) for m, c in tail.items()}
+    terms[decode(piv)] = field.one
+    return DiElement(keys.alphabet, field, terms, _clean=True)
 
 
 def echelonize(elements) -> list[DiElement]:
@@ -291,17 +377,18 @@ def echelonize(elements) -> list[DiElement]:
     if not elements:
         return []
     alphabet, field = elements[0].alphabet, elements[0].field
+    p = _modulus(field)
+    keys = KeyCodec(alphabet, max(x.max_length() for x in elements))
     rows, users = {}, {}
     for x in elements:
         if x.alphabet != alphabet:
             raise AlphabetMismatch("mixing alphabets")
         if x.field != field:
             raise FieldMismatch("mixing scalar fields")
-        nf = _reduce_terms(x.terms.items(), rows, field)
+        _, nf = _reduce_terms(_integer_terms(x.terms.items(), p, keys.encode)[1], rows, p)
         if nf:
-            _insert_row(rows, users, nf, field)
-    pivots = sorted(rows, reverse=True)
-    return [_row_element(alphabet, field, p, rows[p]) for p in pivots]
+            _insert_row(rows, users, nf, p)
+    return [_row_element(keys, field, p, piv, rows[piv]) for piv in sorted(rows, reverse=True)]
 
 
 # ===== saturation ==========================================================
@@ -310,29 +397,33 @@ def echelonize(elements) -> list[DiElement]:
 def _elimination_rows(q: Presentation, cap: int, associative: bool) -> dict:
     """Degree-bucketed closure of the ideal span of q up to a length cap.
 
-    Returns the echelon rows {pivot: monic tail}, keyed by KeyCodec(q.alphabet,
+    Returns the kernel rows {pivot: (d, tail)}, keyed by KeyCodec(q.alphabet,
     cap, associative).  Candidates wait in one bucket per top length; each
     inserted row sends its single-generator multiples, both sides and both
-    products, to the bucket one above its pivot's length.
+    products, to the bucket one above its pivot's length.  Multiples of a
+    killed row are single monomials and wait, deduplicated, in a set.  The
+    span, hence the reduced rows, does not depend on the order candidates
+    are taken in.
     """
-    field = q.field
+    p = _modulus(q.field)
     keys = KeyCodec(q.alphabet, cap, associative)
     images, length = keys.images, keys.length
-    one, minus = field.one, field.neg(field.one)
     rows, users = {}, {}
 
     def products(piv):
-        tail = rows[piv]
-        coeffs = (one, *tail.values())
+        d, tail = rows[piv]
+        coeffs = (d, *tail.values())
         # one column of keys per single-generator map, aligned with coeffs
         cols = zip(images(piv), *map(images, tail))
         return [list(zip(col, coeffs)) for col in cols]
 
     pend: list[list] = [[] for _ in range(cap + 1)]
+    # images of killed rows: single monomials, one set per length
+    kills: list[set] = [set() for _ in range(cap + 1)]
     for r in q.relators:
         top = max(len(m.word) for m in r.terms)
         if top <= cap:
-            pend[top].append([(keys.encode(m), c) for m, c in r.terms.items()])
+            pend[top].append(_integer_terms(r.terms.items(), p, keys.encode)[1])
     basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
     reached = 0
     t = 1
@@ -343,17 +434,22 @@ def _elimination_rows(q: Presentation, cap: int, associative: bool) -> dict:
                 span = range(keys.offset(t - 1), keys.offset(t))
                 basis[t - 1] = [keys.split(x) for x in span if x not in rows]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
-                pend[t].append(((m1, one), (m2, minus)))
-        bucket = pend[t]
-        while bucket:
-            nf = _reduce_terms(bucket.pop(), rows, field)
+                pend[t].append(((m1, 1), (m2, -1)))
+        bucket, kill = pend[t], kills[t]
+        while bucket or kill:
+            # single monomials first: they shorten what follows
+            cand = ((kill.pop(), 1),) if kill else bucket.pop()
+            _, nf = _reduce_terms(cand, rows, p)
             if nf:
-                piv = _insert_row(rows, users, nf, field)
+                piv = _insert_row(rows, users, nf, p)
                 top = length(piv)
                 if top < cap:
-                    pend[top + 1].extend(products(piv))
+                    if rows[piv] is _KILLED:
+                        kills[top + 1].update(images(piv))
+                    else:
+                        pend[top + 1].extend(products(piv))
         # a late short pivot can drop work into lower buckets; go back
-        t = next((s for s in range(1, t + 1) if pend[s]), t + 1)
+        t = next((s for s in range(1, t + 1) if pend[s] or kills[s]), t + 1)
     return rows
 
 
@@ -378,17 +474,17 @@ def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
     KeyCodec), so key order is monomial order.  Each class is rooted at its
     smallest key and may be killed.  The ideal at degree t is spanned by the
     differences inside each class and the monomials of killed classes; its
-    reduced echelon form has the row {m: {root: -1}} for every other member
-    m of a live class and {m: {}} for every member of a killed one.  Members
-    of one class share one tail dict, and killed monomials share one empty
-    dict.  Classes at degree t come from the single-generator images of the
-    rows at degree t - 1, the relators of length t and the scheme instances
-    of total degree t.
+    reduced echelon form has the kernel row m + (1, {root: -1}) for every
+    other member m of a live class (-1 read mod p over GF(p)) and
+    m + _KILLED for every member of a killed one.  Members of one class
+    share one row.  Classes at degree t come from the single-generator
+    images of the rows at degree t - 1, the relators of length t and the
+    scheme instances of total degree t.
     """
-    field = q.field
+    p = _modulus(q.field)
     keys = KeyCodec(q.alphabet, cap, associative)
     images = keys.images
-    minus = field.neg(field.one)
+    minus = -1 % p if p else -1
     relators: dict[int, list] = {}
     for r in q.relators:
         t = r.max_length()  # binomial relators are homogeneous
@@ -396,7 +492,6 @@ def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
             relators.setdefault(t, []).append([keys.encode(m) for m in r.terms])
 
     rows: dict = {}
-    dead: dict = {}
     basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
     prev: list = []  # rows of degree t - 1 as (pivot, root), root -1 if killed
     for t in range(1, cap + 1):
@@ -442,18 +537,18 @@ def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
         # a root is its class's smallest key, so its tail exists before any
         # other member comes up
         prev = []
-        tails: dict = {}
+        shared: dict = {}
         live = []
         for x in range(off, off + size):
             r = find(x)
             if killed[r]:
                 prev.append((x, -1))
-                rows[x] = dead
+                rows[x] = _KILLED
             elif r != x - off:
                 prev.append((x, r + off))
-                rows[x] = tails[r]
+                rows[x] = shared[r]
             else:
-                tails[r] = {x: minus}
+                shared[r] = (1, {x: minus})
                 live.append(x)
         if q.schemes:
             basis[t] = [keys.split(x) for x in live]
@@ -470,8 +565,9 @@ class BasisTable:
     other monomial of length <= degree_bound.  exact is False when
     inhomogeneous relators force truncation, in which case the stored span
     is a lower bound on the ideal and the basis an upper bound.  The rows
-    are stored keyed by int (see KeyCodec) and decoded to Disequence only
-    when read.
+    are stored as kernel rows {key: (d, tail)} (see KeyCodec and
+    _reduce_terms) and decoded to Disequence and field values only when
+    read.
     """
 
     __slots__ = (
@@ -513,25 +609,18 @@ class BasisTable:
     @property
     def rows(self) -> dict:
         if self._row_elements is None:
-            decode = self._keys.decode
-            out = {}
-            for p in sorted(self._rows):
-                piv = decode(p)
-                tail = {decode(m): c for m, c in self._rows[p].items()}
-                out[piv] = _row_element(self.alphabet, self.field, piv, tail)
-            self._row_elements = out
+            keys, rows, p = self._keys, self._rows, _modulus(self.field)
+            self._row_elements = {
+                keys.decode(piv): _row_element(keys, self.field, p, piv, rows[piv])
+                for piv in sorted(rows)
+            }
         return self._row_elements
 
     @property
     def basis(self) -> list[Disequence]:
         if self._basis is None:
             assoc = self.mode == ASSOCIATIVE
-            total = self._keys.offset(self.degree_bound + 1)
-            if total > MATERIALIZE_CAP:
-                raise ResourceCapExceeded(
-                    f"materializing the basis up to degree {self.degree_bound} "
-                    f"would enumerate {total} monomials"
-                )
+            self._basis_end()
             rows, offset = self._rows, self._keys.offset
             out = []
             for t in range(1, self.degree_bound + 1):
@@ -542,6 +631,22 @@ class BasisTable:
                 )
             self._basis = out
         return self._basis
+
+    def _basis_end(self) -> int:
+        """offset(degree_bound + 1), the number of keys a basis walk visits;
+        raises past MATERIALIZE_CAP."""
+        total = self._keys.offset(self.degree_bound + 1)
+        if total > MATERIALIZE_CAP:
+            raise ResourceCapExceeded(
+                f"materializing the basis up to degree {self.degree_bound} "
+                f"would enumerate {total} monomials"
+            )
+        return total
+
+    def _basis_keys(self) -> list[int]:
+        """The keys of basis, ascending, without building monomials."""
+        rows = self._rows
+        return [x for x in range(self._basis_end()) if x not in rows]
 
     def __contains__(self, mono: Disequence) -> bool:
         return (
@@ -610,12 +715,20 @@ def basis_upto(
                 f"(cap {max_universe}); lower the degree or raise the cap"
             )
         engine = _congruence_rows if _binomial(q) else _elimination_rows
-        rows = engine(q, cap, associative)
+        # the engines build no reference cycles; cyclic GC would only
+        # rescan their growing containers
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rows = engine(q, cap, associative)
+        finally:
+            if enabled:
+                gc.enable()
     keys = KeyCodec(q.alphabet, cap, associative)
     if eff:
         # rows reach degree n + eff; only slack puts them beyond n
         end = keys.offset(n + 1)
-        rows = {piv: tail for piv, tail in rows.items() if piv < end}
+        rows = {piv: row for piv, row in rows.items() if piv < end}
     return BasisTable(pres.alphabet, pres.field, mode, n, eff, q.homogeneous,
                       pres.fingerprint, keys, rows)
 
@@ -648,11 +761,12 @@ def normal_form(x: DiElement, table: BasisTable) -> DiElement:
     if x.field != table.field:
         raise FieldMismatch("element over a different field")
     check_reducible(x, table.degree_bound, table.mode)
-    keys = table._keys
-    nf = _reduce_terms(
-        [(keys.encode(m), c) for m, c in x.terms.items()], table._rows, table.field
-    )
-    return DiElement(x.alphabet, x.field, {keys.decode(m): c for m, c in nf.items()},
+    keys, p = table._keys, _modulus(table.field)
+    L, terms = _integer_terms(x.terms.items(), p, keys.encode)
+    L2, nf = _reduce_terms(terms, table._rows, p)
+    L *= L2
+    return DiElement(x.alphabet, x.field,
+                     {keys.decode(m): _coefficient(c, L, p) for m, c in nf.items()},
                      _clean=True)
 
 

@@ -8,6 +8,7 @@ live in the oracle-marked tests below.
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -367,19 +368,25 @@ def test_binomial_predicate():
 
 
 def test_congruence_classes_share_one_tail():
-    pres = Presentation(AB, QQ, (E("[b b]@1"),), ("lcomm", "rcomm"))
-    rows = _congruence_rows(pres, 4, False)
-    one_per_tail = {tuple(tail): tail for tail in rows.values()}
-    assert all(one_per_tail[tuple(tail)] is tail for tail in rows.values())
-    assert () in one_per_tail  # the killed monomials
-    live = Counter(id(tail) for tail in rows.values() if tail)
-    assert max(live.values()) > 1
+    for field, minus in ((QQ, -1), (GF7, 6)):
+        pres = Presentation(AB, field, (parse_element("[b b]@1", AB, field),),
+                            ("lcomm", "rcomm"))
+        rows = _congruence_rows(pres, 4, False)
+        # one (d, tail) row per class, shared by its members
+        one_per_tail = {tuple(row[1].items()): row for row in rows.values()}
+        assert all(one_per_tail[tuple(row[1].items())] is row for row in rows.values())
+        assert one_per_tail[()] == (1, {})  # the killed monomials
+        for d, tail in rows.values():
+            assert d == 1 and set(tail.values()) <= {minus}
+        live = Counter(id(row) for row in rows.values() if row[1])
+        assert max(live.values()) > 1
 
 
 @st.composite
 def non_binomial_presentations(draw):
     """Presentations over Q with two- or three-term relators of mixed
-    lengths and coefficients, plus at least one identity scheme."""
+    lengths and integer and fractional coefficients, plus at least one
+    identity scheme and an optional slack."""
     k = draw(st.integers(1, 2))
     alphabet = Alphabet(tuple("ab"[:k]))
     top = {1: 3, 2: 2}[k]
@@ -391,16 +398,22 @@ def non_binomial_presentations(draw):
 
     relators = []
     for _ in range(draw(st.integers(1, 2))):
-        terms = {mono(): Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        terms = {mono(): Fraction(draw(st.sampled_from(COEFFS)))
                  for _ in range(draw(st.integers(2, 3)))}
         relators.append(DiElement(alphabet, QQ, terms))
     schemes = draw(st.lists(st.sampled_from(SCHEME_TAGS), unique=True, min_size=1))
-    return Presentation(alphabet, QQ, tuple(relators), tuple(schemes))
+    # at least the spread, top - 1 at most: below it the engine's truncated
+    # span can outgrow the oracle's sandwich span
+    slack = draw(st.sampled_from([None, top - 1]))
+    return Presentation(alphabet, QQ, tuple(relators), tuple(schemes), slack)
+
+
+COEFFS = ["-3", "-2", "-1", "1", "2", "3", "5", "1/2", "-2/3", "7/3"]
 
 
 @given(non_binomial_presentations(), st.booleans())
 def test_elimination_with_schemes_matches_oracle(pres, assoc):
-    from oracle import o_basis
+    from oracle import o_basis, o_collapse, o_ideal_rows
 
     assume(not _binomial(associated_associative(pres) if assoc else pres))
     rels = [to_oracle(r) for r in pres.relators]
@@ -413,6 +426,17 @@ def test_elimination_with_schemes_matches_oracle(pres, assoc):
     assert table.counts_by_degree() == [
         sum(len(word) == t for word, _ in want) for t in range(1, n + 1)
     ]
+    # the decoded rows are the Fraction reference's, term for term
+    if assoc:
+        rels = [r for r in map(o_collapse, rels) if r]
+    want_rows = o_ideal_rows(pres.alphabet.names, rels, pres.schemes, n + table.slack, assoc)
+    got_rows = {}
+    for piv, row in table.rows.items():
+        (key, one), = to_oracle(DiElement.monomial(piv)).items()
+        tail = to_oracle(row)
+        assert tail.pop(key) == one
+        got_rows[key] = tail
+    assert got_rows == {m: tail for m, tail in want_rows.items() if len(m[0]) <= n}
 
 
 # frozen from the tests/oracle.py comparisons above, extended one degree
@@ -649,11 +673,17 @@ def dense(field):
     return Presentation(AB, field, (parse_element(DENSE_RELATOR, AB, field),))
 
 
-def assert_pivot_free(rows):
-    """Every tail term is below its pivot and is no pivot itself."""
-    for piv, tail in rows.items():
+def assert_kernel_rows(rows, field):
+    """Every tail term is below its pivot and is no pivot itself; rows are
+    primitive with d > 0 over Q, and d == 1 with entries in [0, p) over
+    GF(p)."""
+    for piv, (d, tail) in rows.items():
         for m in tail:
             assert m < piv and m not in rows, (piv, m)
+        if field == QQ:
+            assert d > 0 and gcd(d, *tail.values()) == 1, (piv, d, tail)
+        else:
+            assert d == 1 and all(0 < c < field.p for c in tail.values()), (piv, tail)
 
 
 def test_basistable_invariants():
@@ -690,24 +720,44 @@ def test_basistable_invariants():
             lead, c = row.leading()
             assert lead == piv and c == table.field.one
             assert not (set(row.terms) - {piv}) & piv_set
-    # the same on the engine's own rows, before any slack filter
+    # the kernel's own rows, before any slack filter, on both engines
     for mode, assoc in ((DIALGEBRA, False), (ASSOCIATIVE, True)):
         pres = fixture("inhomog_ab")
         q = associated_associative(pres) if assoc else pres
-        assert_pivot_free(_elimination_rows(q, 5, assoc))
+        assert_kernel_rows(_elimination_rows(q, 5, assoc), QQ)
     for field in (QQ, GF32003):
-        assert_pivot_free(_elimination_rows(dense(field), 5, False))
+        rows = _elimination_rows(dense(field), 5, False)
+        assert any(d > 1 for d, _ in rows.values()) == (field == QQ)
+        assert_kernel_rows(rows, field)
+        comm = Presentation(AB, field, (parse_element("[b b]@1", AB, field),),
+                            ("lcomm", "rcomm"))
+        assert_kernel_rows(_congruence_rows(comm, 4, False), field)
+        for table in tables:
+            if table.field == field:
+                assert_kernel_rows(table._rows, field)
     # and on echelonize output
     echelon = {}
     for row in echelonize([E(DENSE_RELATOR), E("[a a b]@3 - [b]@1"), E("[b]@1 + [a]@1")]):
         piv = row.leading()[0]
-        echelon[piv] = set(row.terms) - {piv}
+        echelon[piv] = (1, dict.fromkeys(set(row.terms) - {piv}, 1))
     assert len(echelon) == 3
-    assert_pivot_free(echelon)
+    assert_kernel_rows(echelon, QQ)
 
 
 MONOS_UPTO_4 = [m for t in range(1, 5) for m in monomials(AB, t)]
-REDUCE_TABLES = [basis_upto(fixture("inhomog_ab"), 4), basis_upto(dense(GF32003), 4)]
+# dense(QQ) has rows with d > 1, so non-unit leads and rescaling are drawn
+REDUCE_TABLES = [basis_upto(fixture("inhomog_ab"), 4), basis_upto(dense(QQ), 4),
+                 basis_upto(dense(GF32003), 4)]
+
+
+def reduced_value(result, p):
+    """The field values of a kernel result (L, L*nf)."""
+    L, out = result
+    assert L > 0
+    if p:
+        assert L == 1 and all(0 < c < p for c in out.values())
+        return out
+    return {m: Fraction(c, L) for m, c in out.items()}
 
 
 @given(
@@ -717,25 +767,60 @@ REDUCE_TABLES = [basis_upto(fixture("inhomog_ab"), 4), basis_upto(dense(GF32003)
 )
 def test_reduce_terms_ignores_pair_order_and_repeats(table, pairs, data):
     rows, field, keys = table._rows, table.field, table._keys
-    monos = [(m, field.coerce(c)) for m, c in pairs]
-    pairs = [(keys.encode(m), c) for m, c in monos]
+    p = 0 if field == QQ else field.p
+    pairs = [(keys.encode(m), c % p if p else c) for m, c in pairs]
     given_pairs = list(pairs)
-    want = _reduce_terms(pairs, rows, field)
+    want = reduced_value(_reduce_terms(pairs, rows, p), p)
     assert pairs == given_pairs  # the input is not consumed
     assert all(want.values()) and not set(want) & set(rows)
     # the normal form of the summed element
     x = DiElement(AB, field)
-    for m, c in monos:
-        x = x + DiElement(AB, field, {m: c})
+    for m, c in pairs:
+        x = x + DiElement(AB, field, {keys.decode(m): c})
     assert want == {keys.encode(m): c for m, c in normal_form(x, table).terms.items()}
     # any order of the pairs
-    assert _reduce_terms(data.draw(st.permutations(pairs)), rows, field) == want
+    got = _reduce_terms(data.draw(st.permutations(pairs)), rows, p)
+    assert reduced_value(got, p) == want
     # one coefficient split across repeated pairs, in any order
     split = []
     for m, c in pairs:
-        a = field.coerce(data.draw(st.integers(-9, 9)))
-        split += [(m, a), (m, field.sub(c, a))]
-    assert _reduce_terms(data.draw(st.permutations(split)), rows, field) == want
+        a = data.draw(st.integers(-9, 9))
+        split += [(m, a % p), (m, (c - a) % p)] if p else [(m, a), (m, c - a)]
+    got = _reduce_terms(data.draw(st.permutations(split)), rows, p)
+    assert reduced_value(got, p) == want
+
+
+@pytest.mark.parametrize("name", ["inhomog_ab", "comm_ab"])
+def test_basis_upto_restores_gc_state(name, monkeypatch):
+    import gc
+
+    from digrow import presentation
+
+    pres = fixture(name)
+    was = gc.isenabled()
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            assert basis_upto(pres, 3).counts_by_degree()
+            assert gc.isenabled() is state
+
+        # the same when the engine raises; it runs with GC off
+        seen = []
+
+        def failing(q, cap, associative):
+            seen.append(gc.isenabled())
+            raise RuntimeError("engine failed")
+
+        for engine in ("_congruence_rows", "_elimination_rows"):
+            monkeypatch.setattr(presentation, engine, failing)
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            with pytest.raises(RuntimeError, match="engine failed"):
+                basis_upto(pres, 3)
+            assert gc.isenabled() is state
+        assert seen == [False, False]
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_zero_dialgebra():
