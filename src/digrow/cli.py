@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from fractions import Fraction
 
-from .element import DiElement, QQ, axiom_residuals, parse_element, parse_field
+from .element import DiElement, QQ, _sum_terms, axiom_residuals, parse_element, parse_field
 from .errors import ParseError, ResourceCapExceeded
 from .growth import (
     MAX_IDENTITY_PAIRS,
@@ -26,7 +25,7 @@ from .growth import (
     special_basis_check,
     theorem_a_check,
 )
-from .monomial import Alphabet
+from .monomial import Alphabet, Disequence
 from .presentation import (
     ASSOCIATIVE,
     DIALGEBRA,
@@ -295,16 +294,13 @@ def cmd_gk(args) -> int:
 
 
 def _random_element(rng, alphabet, field, max_len=3, terms=3):
-    from .monomial import Disequence
-
-    out = DiElement.zero(alphabet, field)
+    pairs = []
     for _ in range(rng.randint(1, terms)):
         length = rng.randint(1, max_len)
         word = bytes(rng.randrange(alphabet.size) for _ in range(length))
         mono = Disequence(alphabet, word, rng.randint(1, length))
-        coeff = field.coerce(Fraction(rng.randint(-5, 5)))
-        out = out + DiElement(alphabet, field, {mono: coeff})
-    return out
+        pairs.append((mono, field.coerce(rng.randint(-5, 5))))
+    return DiElement(alphabet, field, _sum_terms(pairs, field), _clean=True)
 
 
 def cmd_verify(args) -> int:

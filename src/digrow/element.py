@@ -1,16 +1,19 @@
 """Sparse linear combinations of monomials over an exact scalar field.
 
-Coefficients are either rationals (fractions.Fraction, always reduced) or
-elements of a prime field stored as plain ints in [0, p).  Element
-arithmetic goes through a field object so the same code serves both; the
-elimination kernel in presentation.py works on plain ints instead and
-converts at its edges.  Floating point never appears here.
+Coefficients are fractions.Fraction over Q and plain ints in [0, p) over
+GF(p).  Arithmetic on them is Python's own: a sum of terms, repeats
+allowed, is added up with + and *, reduced mod p once at the end and
+stripped of zeros (_sum_terms), the same rule the elimination kernel in
+presentation.py follows.  A field object only coerces values into its
+convention, formats them and carries its characteristic p (0 for Q).
+Floating point never appears here.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .errors import AlphabetMismatch, FieldMismatch, ParseError
 from .monomial import Alphabet, Disequence, lprod, rprod
@@ -22,6 +25,7 @@ class RationalField:
     """The rationals.  A single shared instance, QQ, is enough."""
 
     name = "Q"
+    p = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -33,23 +37,6 @@ class RationalField:
         if isinstance(value, str):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def invert(self, a):
-        if not a:
-            raise ZeroDivisionError("inverting 0")
-        return 1 / a
 
     def format(self, a) -> str:
         return str(a)
@@ -125,23 +112,6 @@ class PrimeField:
             return self.coerce(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def invert(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverting 0")
-        return pow(a, self.p - 2, self.p)
-
     def format(self, a) -> str:
         return str(a % self.p)
 
@@ -174,6 +144,19 @@ def parse_field(spec: str):
 
 
 #### elements ###############################################################
+
+
+def _sum_terms(pairs, field) -> dict:
+    """Sum (monomial, coefficient) pairs, a monomial may repeat, into a
+    terms dict: Python arithmetic, then % p once and zeros dropped."""
+    out: dict = {}
+    get = out.get
+    for m, c in pairs:
+        out[m] = get(m, 0) + c
+    p = field.p
+    if p:
+        return {m: r for m, v in out.items() if (r := v % p)}
+    return {m: v for m, v in out.items() if v}
 
 
 class DiElement:
@@ -235,6 +218,10 @@ class DiElement:
 
     # -- ring-ish operations --------------------------------------------------
 
+    def _summed(self, pairs) -> "DiElement":
+        """The element summing (monomial, coefficient) pairs, via _sum_terms."""
+        return DiElement(self.alphabet, self.field, _sum_terms(pairs, self.field), _clean=True)
+
     def _check_mate(self, other: "DiElement"):
         if self.alphabet != other.alphabet:
             raise AlphabetMismatch("mixing alphabets")
@@ -245,21 +232,10 @@ class DiElement:
         if not isinstance(other, DiElement):
             return NotImplemented
         self._check_mate(other)
-        f = self.field
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = f.add(out.get(mono, f.zero), c)
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return DiElement(self.alphabet, f, out, _clean=True)
+        return self._summed(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
-        f = self.field
-        return DiElement(
-            self.alphabet, f, {m: f.neg(c) for m, c in self.terms.items()}, _clean=True
-        )
+        return self._summed((m, -c) for m, c in self.terms.items())
 
     def __sub__(self, other):
         if not isinstance(other, DiElement):
@@ -267,13 +243,8 @@ class DiElement:
         return self + (-other)
 
     def scaled(self, coeff) -> "DiElement":
-        f = self.field
-        c0 = f.coerce(coeff)
-        if not c0:
-            return DiElement.zero(self.alphabet, f)
-        return DiElement(
-            self.alphabet, f, {m: f.mul(c0, c) for m, c in self.terms.items()}, _clean=True
-        )
+        c0 = self.field.coerce(coeff)
+        return self._summed((m, c0 * c) for m, c in self.terms.items())
 
     def __rmul__(self, coeff):
         if isinstance(coeff, DiElement):
@@ -289,18 +260,11 @@ class DiElement:
         else:
             raise ValueError(f"op must be lprod or rprod, got {op!r}")
         self._check_mate(other)
-        f = self.field
-        out: dict = {}
-        for mu, cu in self.terms.items():
-            for mv, cv in other.terms.items():
-                mono = mprod(mu, mv)
-                c = f.mul(cu, cv)
-                s = f.add(out.get(mono, f.zero), c)
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return DiElement(self.alphabet, f, out, _clean=True)
+        return self._summed(
+            (mprod(mu, mv), cu * cv)
+            for mu, cu in self.terms.items()
+            for mv, cv in other.terms.items()
+        )
 
     def lprod(self, other: "DiElement") -> "DiElement":
         return self.mul(other, "lprod")
@@ -326,11 +290,10 @@ class DiElement:
         if not self.terms:
             return "0"
         f = self.field
-        rational = isinstance(f, RationalField)
         parts = []
         for mono in self.support():
             c = self.terms[mono]
-            if rational and c < 0:
+            if c < 0:  # only over Q; residues lie in [0, p)
                 sign, mag = "-", -c
             else:
                 sign, mag = "+", c
@@ -446,7 +409,7 @@ def parse_element(text: str, alphabet: Alphabet, field=QQ) -> DiElement:
         return Disequence(alphabet, word, middle)
 
     f = field
-    acc: dict = {}
+    pairs = []
     first = True
     while True:
         tk = peek()
@@ -473,13 +436,6 @@ def parse_element(text: str, alphabet: Alphabet, field=QQ) -> DiElement:
             if star[0] != "punct" or star[1] != "*":
                 raise ParseError("expected '*' after coefficient", column=star[2])
             i += 1
-        mono = take_monomial()
-        if sign < 0:
-            coeff = f.neg(coeff)
-        s = f.add(acc.get(mono, f.zero), coeff)
-        if s:
-            acc[mono] = s
-        else:
-            acc.pop(mono, None)
+        pairs.append((take_monomial(), sign * coeff))
         first = False
-    return DiElement(alphabet, f, acc, _clean=True)
+    return DiElement(alphabet, f, _sum_terms(pairs, f), _clean=True)

@@ -22,7 +22,6 @@ from .presentation import (
     BasisTable,
     Presentation,
     _key_scheme_pair,
-    _modulus,
     _reduce_terms,
     basis_upto,
     canonical_json,
@@ -431,7 +430,7 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
     if table_d.mode != DIALGEBRA:
         raise ValueError("needs a dialgebra-mode table")
     n = table_d.degree_bound
-    keys, rows, p = table_d._keys, table_d._rows, _modulus(table_d.field)
+    keys, rows, p = table_d._keys, table_d._rows, table_d.field.p
     basis = table_d._basis_keys()
     split = [keys.split(x) for x in basis]
     holds = {tag: True for tag in SCHEME_TAGS}

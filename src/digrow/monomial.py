@@ -257,11 +257,11 @@ class KeyCodec:
     word value); products with single generators are affine maps of keys.
     """
 
-    __slots__ = ("alphabet", "associative", "_k", "_off", "_pow")
+    __slots__ = ("alphabet", "cap", "associative", "_k", "_off", "_pow")
 
     def __init__(self, alphabet: Alphabet, cap: int, associative: bool = False):
         k = alphabet.size
-        self.alphabet, self.associative, self._k = alphabet, associative, k
+        self.alphabet, self.cap, self.associative, self._k = alphabet, cap, associative, k
         self._pow = [k**t for t in range(cap + 2)]
         # _off[t] = offset(t) for t = 0..cap + 1; offset(0) = offset(1) = 0,
         # so bisect_right(_off, key) - 1 is the key's length

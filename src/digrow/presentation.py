@@ -28,14 +28,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .element import DiElement, PrimeField, QQ
+from .element import DiElement, QQ, _sum_terms
 from .errors import (
     AlphabetMismatch,
     DegreeBoundExceeded,
     FieldMismatch,
     ResourceCapExceeded,
 )
-from .monomial import Alphabet, Disequence, KeyCodec, lprod, monomials, rprod, universe_count
+from .monomial import Alphabet, Disequence, KeyCodec, lprod, monomials, rprod
 
 DIALGEBRA = "dialgebra"
 ASSOCIATIVE = "associative"
@@ -111,11 +111,6 @@ def _scheme_instances(schemes, keys: KeyCodec, total: int, basis: dict):
                         yield m1, m2
 
 
-def _universe_upto(alphabet: Alphabet, n: int, associative: bool) -> int:
-    """How many monomials of length 1..n exist in the given mode."""
-    return sum(universe_count(alphabet.size, t, associative) for t in range(1, n + 1))
-
-
 # ===== presentations =======================================================
 
 
@@ -177,16 +172,11 @@ class Presentation:
 
 def collapse_middle(x: DiElement) -> DiElement:
     """Forget middles: send every [w]@m to [w]@1, combining coefficients."""
-    f = x.field
-    out: dict = {}
-    for mono, c in x.terms.items():
-        flat = mono if mono.middle == 1 else Disequence(mono.alphabet, mono.word, 1)
-        s = f.add(out.get(flat, f.zero), c)
-        if s:
-            out[flat] = s
-        else:
-            del out[flat]
-    return DiElement(x.alphabet, f, out, _clean=True)
+    pairs = (
+        (m if m.middle == 1 else Disequence(m.alphabet, m.word, 1), c)
+        for m, c in x.terms.items()
+    )
+    return DiElement(x.alphabet, x.field, _sum_terms(pairs, x.field), _clean=True)
 
 
 def associated_associative(pres: Presentation) -> Presentation:
@@ -222,19 +212,15 @@ def _effective_slack(q: Presentation, explicit: int | None) -> int:
 
 # ===== the integer elimination kernel =====================================
 #
-# One kernel serves both fields.  A row is (d, tail) with int coefficients
-# and stands for the element piv + tail/d; its tail holds no pivot.  Over Q
-# (modulus p = 0) d > 0 and gcd(d, *tail.values()) == 1; over GF(p) d == 1
-# and the entries lie in [0, p).  Every killed monomial shares the row
-# _KILLED.  Coefficients become Fraction or residue only at the edges: the
-# inputs in _integer_terms, the outputs in _coefficient.
+# One kernel serves both fields; it reads a field as its characteristic
+# field.p (0 for Q).  A row is (d, tail) with int coefficients and stands
+# for the element piv + tail/d; its tail holds no pivot.  Over Q d > 0 and
+# gcd(d, *tail.values()) == 1; over GF(p) d == 1 and the entries lie in
+# [0, p).  Every killed monomial shares the row _KILLED.  Coefficients
+# become Fraction or residue only at the edges: the inputs in
+# _integer_terms, the outputs in _coefficient.
 
 _KILLED = (1, MappingProxyType({}))
-
-
-def _modulus(field) -> int:
-    """The kernel's view of a field: 0 for Q, p for GF(p)."""
-    return field.p if isinstance(field, PrimeField) else 0
 
 
 def _integer_terms(terms, p: int, encode) -> tuple[int, list]:
@@ -377,7 +363,7 @@ def echelonize(elements) -> list[DiElement]:
     if not elements:
         return []
     alphabet, field = elements[0].alphabet, elements[0].field
-    p = _modulus(field)
+    p = field.p
     keys = KeyCodec(alphabet, max(x.max_length() for x in elements))
     rows, users = {}, {}
     for x in elements:
@@ -394,19 +380,18 @@ def echelonize(elements) -> list[DiElement]:
 # ===== saturation ==========================================================
 
 
-def _elimination_rows(q: Presentation, cap: int, associative: bool) -> dict:
-    """Degree-bucketed closure of the ideal span of q up to a length cap.
+def _elimination_rows(q: Presentation, keys: KeyCodec) -> dict:
+    """Degree-bucketed closure of the ideal span of q up to the length cap
+    of keys, in keys' mode.
 
-    Returns the kernel rows {pivot: (d, tail)}, keyed by KeyCodec(q.alphabet,
-    cap, associative).  Candidates wait in one bucket per top length; each
-    inserted row sends its single-generator multiples, both sides and both
-    products, to the bucket one above its pivot's length.  Multiples of a
-    killed row are single monomials and wait, deduplicated, in a set.  The
-    span, hence the reduced rows, does not depend on the order candidates
-    are taken in.
+    Returns the kernel rows {pivot: (d, tail)}, keyed by keys.  Candidates
+    wait in one bucket per top length; each inserted row sends its
+    single-generator multiples, both sides and both products, to the
+    bucket one above its pivot's length.  Multiples of a killed row are
+    single monomials and wait, deduplicated, in a set.  The span, hence the
+    reduced rows, does not depend on the order candidates are taken in.
     """
-    p = _modulus(q.field)
-    keys = KeyCodec(q.alphabet, cap, associative)
+    p, cap = q.field.p, keys.cap
     images, length = keys.images, keys.length
     rows, users = {}, {}
 
@@ -460,15 +445,16 @@ def _binomial(q: Presentation) -> bool:
     differences of monomials and by monomials (scheme instances are
     differences too), which is what _congruence_rows needs.
     """
-    add, zero = q.field.add, q.field.zero
+    # c and -c sum to p: 0 over Q, and p itself for residues in [0, p)
+    p = q.field.p
     return q.homogeneous and all(
-        len(r.terms) == 1 or (len(r.terms) == 2 and add(*r.terms.values()) == zero)
+        len(r.terms) == 1 or (len(r.terms) == 2 and sum(r.terms.values()) == p)
         for r in q.relators
     )
 
 
-def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
-    """The rows _elimination_rows(q, cap, associative) returns, for binomial q.
+def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
+    """The rows _elimination_rows(q, keys) returns, for binomial q.
 
     Degree by degree, a union-find over the keys of that degree (see
     KeyCodec), so key order is monomial order.  Each class is rooted at its
@@ -481,9 +467,7 @@ def _congruence_rows(q: Presentation, cap: int, associative: bool) -> dict:
     images of the rows at degree t - 1, the relators of length t and the
     scheme instances of total degree t.
     """
-    p = _modulus(q.field)
-    keys = KeyCodec(q.alphabet, cap, associative)
-    images = keys.images
+    p, cap, images = q.field.p, keys.cap, keys.images
     minus = -1 % p if p else -1
     relators: dict[int, list] = {}
     for r in q.relators:
@@ -609,7 +593,7 @@ class BasisTable:
     @property
     def rows(self) -> dict:
         if self._row_elements is None:
-            keys, rows, p = self._keys, self._rows, _modulus(self.field)
+            keys, rows, p = self._keys, self._rows, self.field.p
             self._row_elements = {
                 keys.decode(piv): _row_element(keys, self.field, p, piv, rows[piv])
                 for piv in sorted(rows)
@@ -704,11 +688,12 @@ def basis_upto(
     q = associated_associative(pres) if associative else pres
     eff = _effective_slack(q, slack)
     cap = n + eff
+    keys = KeyCodec(q.alphabet, cap, associative)
     rows = {}
     if q.relators or q.schemes:
         if max_universe is None:
             max_universe = DEFAULT_UNIVERSE_CAP
-        total = _universe_upto(q.alphabet, cap, associative)
+        total = keys.offset(cap + 1)
         if total > max_universe:
             raise ResourceCapExceeded(
                 f"elimination up to degree {cap} would touch {total} monomials "
@@ -720,11 +705,10 @@ def basis_upto(
         enabled = gc.isenabled()
         gc.disable()
         try:
-            rows = engine(q, cap, associative)
+            rows = engine(q, keys)
         finally:
             if enabled:
                 gc.enable()
-    keys = KeyCodec(q.alphabet, cap, associative)
     if eff:
         # rows reach degree n + eff; only slack puts them beyond n
         end = keys.offset(n + 1)
@@ -761,7 +745,7 @@ def normal_form(x: DiElement, table: BasisTable) -> DiElement:
     if x.field != table.field:
         raise FieldMismatch("element over a different field")
     check_reducible(x, table.degree_bound, table.mode)
-    keys, p = table._keys, _modulus(table.field)
+    keys, p = table._keys, table.field.p
     L, terms = _integer_terms(x.terms.items(), p, keys.encode)
     L2, nf = _reduce_terms(terms, table._rows, p)
     L *= L2

@@ -5,6 +5,15 @@ monomials are (word tuple, middle) pairs, ideals are spanned by explicit
 sandwich products over *all* monomial pairs, and dimensions come from plain
 Gaussian elimination over Fraction dicts.  Slow but obviously correct at
 the degrees the tests use.
+
+Agreement with the package holds only for a slack at least the relators'
+term-length spread.  Below it, o_sandwiches multiplies only the relators,
+while the engine also closes the span under products of reduced rows whose
+top terms cancelled, so the oracle's truncated span can be smaller: with
+generators a b, relator -3*[a a]@1 - 3*[a]@1, idrel rcomm, slack 0 and
+n = 3, basis_upto gives 10 basis monomials and o_basis 12 (it keeps
+[a b a]@3 and [b b a]@3); at slack 1 both give 10.  The oracle tests draw
+no smaller slack.
 """
 
 from __future__ import annotations

@@ -251,9 +251,9 @@ def test_verify_saturates_each_mode_once(capsys, monkeypatch):
     calls = []
 
     def counting(engine):
-        def wrapped(q, cap, associative):
-            calls.append(ASSOCIATIVE if associative else DIALGEBRA)
-            return engine(q, cap, associative)
+        def wrapped(q, keys):
+            calls.append(ASSOCIATIVE if keys.associative else DIALGEBRA)
+            return engine(q, keys)
         return wrapped
 
     for name in ("_congruence_rows", "_elimination_rows"):

@@ -20,6 +20,7 @@ from digrow.monomial import Alphabet, Disequence, parse_disequence
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
+FIELDS = (QQ, PrimeField(7), PrimeField(32003))
 
 
 def E(text, alphabet=AB, field=QQ):
@@ -33,14 +34,21 @@ def D(text, alphabet=AB):
 #### strategies
 
 @st.composite
-def elements(draw, alphabet=ABC, max_len=3, max_terms=3):
+def elements(draw, field=QQ, alphabet=ABC, max_len=3, max_terms=3):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         length = draw(st.integers(1, max_len))
         word = bytes(draw(st.integers(0, alphabet.size - 1)) for _ in range(length))
         middle = draw(st.integers(1, length))
-        terms[Disequence(alphabet, word, middle)] = Fraction(draw(st.integers(-5, 5)))
-    return DiElement(alphabet, QQ, terms)
+        terms[Disequence(alphabet, word, middle)] = field.coerce(draw(st.integers(-5, 5)))
+    return DiElement(alphabet, field, terms)
+
+
+def elements_over_fields(count, **kwargs):
+    """count elements over one field drawn from FIELDS."""
+    return st.sampled_from(FIELDS).flatmap(
+        lambda f: st.tuples(*(elements(f, **kwargs) for _ in range(count)))
+    )
 
 
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -72,8 +80,9 @@ def test_scalar_examples():
     assert -E("[a]@1 - [b]@1") == E("[b]@1 - [a]@1")
 
 
-@given(elements(), elements(), scalars, scalars)
-def test_module_laws(x, y, r, s):
+@given(elements_over_fields(2), scalars, scalars)
+def test_module_laws(xy, r, s):
+    x, y = xy
     assert x + y == y + x
     assert r * (x + y) == r * x + r * y
     assert (r + s) * x == r * x + s * x
@@ -105,8 +114,9 @@ def test_product_against_zero():
         x.mul(z, "times")
 
 
-@given(elements(), elements(), elements(), scalars)
-def test_bilinearity(x, y, z, r):
+@given(elements_over_fields(3), scalars)
+def test_bilinearity(xyz, r):
+    x, y, z = xyz
     for op in ("lprod", "rprod"):
         assert (x + y).mul(z, op) == x.mul(z, op) + y.mul(z, op)
         assert x.mul(y + z, op) == x.mul(y, op) + x.mul(z, op)
@@ -114,8 +124,9 @@ def test_bilinearity(x, y, z, r):
         assert x.mul(r * y, op) == r * x.mul(y, op)
 
 
-@given(elements(max_len=2), elements(max_len=2), elements(max_len=2))
-def test_axiom_residuals_vanish_on_free_elements(x, y, z):
+@given(elements_over_fields(3, max_len=2))
+def test_axiom_residuals_vanish_on_free_elements(xyz):
+    x, y, z = xyz
     assert all(r.is_zero for r in axiom_residuals(x, y, z))
 
 
@@ -149,15 +160,25 @@ def test_support_is_descending():
 
 
 def test_prime_field_arithmetic():
+    # GF(7) arithmetic through elements: every sum lands in [0, 7)
     f7 = PrimeField(7)
-    assert f7.add(5, 4) == 2
-    assert f7.mul(3, 5) == 1
-    assert f7.invert(2) == 4
-    assert f7.neg(3) == 4
-    assert f7.sub(2, 5) == 4
+
+    def E7(text):
+        return E(text, field=f7)
+
+    assert (E7("5*[a]@1") + E7("4*[a]@1")).terms == {D("[a]@1"): 2}
+    assert (E7("2*[a]@1") - E7("5*[a]@1")).terms == {D("[a]@1"): 4}
+    assert (-E7("3*[a]@1")).terms == {D("[a]@1"): 4}
+    assert (E7("5*[a]@1") + E7("2*[a]@1")).is_zero
+    assert E7("3*[a]@1").rprod(E7("5*[b]@1")).terms == {D("[a b]@1"): 1}
+    # [a a a]@1 gets 3 + 4 = 7, which vanishes only mod 7
+    got = E7("[a]@1 + [a a]@1").rprod(E7("3*[a a]@1 + 4*[a]@1"))
+    assert got == E7("4*[a a]@1 + 3*[a a a a]@1")
+    assert E7("6*[a]@1").scaled(Fraction(1, 2)).terms == {D("[a]@1"): 3}
     assert f7.coerce(Fraction(1, 2)) == 4
+    assert f7.coerce(-3) == 4 and f7.coerce("2/3") == 3
     with pytest.raises(ZeroDivisionError):
-        f7.invert(0)
+        f7.coerce(Fraction(1, 7))
 
 
 def test_prime_field_rejects_composite_modulus():

@@ -302,7 +302,7 @@ def binomial_presentations(draw):
         if m1 == m2 or draw(st.booleans()):
             relators.append(DiElement(alphabet, field, {m1: c}))
         else:
-            relators.append(DiElement(alphabet, field, {m1: c, m2: field.neg(c)}))
+            relators.append(DiElement(alphabet, field, {m1: c, m2: field.coerce(-c)}))
     schemes = draw(st.lists(st.sampled_from(SCHEME_TAGS), unique=True, max_size=3))
     return Presentation(alphabet, field, tuple(relators), tuple(schemes))
 
@@ -316,7 +316,8 @@ def test_congruence_rows_match_elimination_and_oracle(pres, assoc):
     k = pres.alphabet.size
     # caps below a relator's length too
     for cap in (1, 2, {1: 12, 2: 6, 3: 4}[k]):
-        assert _congruence_rows(q, cap, assoc) == _elimination_rows(q, cap, assoc)
+        keys = KeyCodec(q.alphabet, cap, assoc)
+        assert _congruence_rows(q, keys) == _elimination_rows(q, keys)
 
     # the span of c*(m1 - m2) is the span of m1 - m2 over every field
     rels = [
@@ -371,7 +372,7 @@ def test_congruence_classes_share_one_tail():
     for field, minus in ((QQ, -1), (GF7, 6)):
         pres = Presentation(AB, field, (parse_element("[b b]@1", AB, field),),
                             ("lcomm", "rcomm"))
-        rows = _congruence_rows(pres, 4, False)
+        rows = _congruence_rows(pres, KeyCodec(AB, 4))
         # one (d, tail) row per class, shared by its members
         one_per_tail = {tuple(row[1].items()): row for row in rows.values()}
         assert all(one_per_tail[tuple(row[1].items())] is row for row in rows.values())
@@ -724,14 +725,14 @@ def test_basistable_invariants():
     for mode, assoc in ((DIALGEBRA, False), (ASSOCIATIVE, True)):
         pres = fixture("inhomog_ab")
         q = associated_associative(pres) if assoc else pres
-        assert_kernel_rows(_elimination_rows(q, 5, assoc), QQ)
+        assert_kernel_rows(_elimination_rows(q, KeyCodec(AB, 5, assoc)), QQ)
     for field in (QQ, GF32003):
-        rows = _elimination_rows(dense(field), 5, False)
+        rows = _elimination_rows(dense(field), KeyCodec(AB, 5))
         assert any(d > 1 for d, _ in rows.values()) == (field == QQ)
         assert_kernel_rows(rows, field)
         comm = Presentation(AB, field, (parse_element("[b b]@1", AB, field),),
                             ("lcomm", "rcomm"))
-        assert_kernel_rows(_congruence_rows(comm, 4, False), field)
+        assert_kernel_rows(_congruence_rows(comm, KeyCodec(AB, 4)), field)
         for table in tables:
             if table.field == field:
                 assert_kernel_rows(table._rows, field)
@@ -767,7 +768,7 @@ def reduced_value(result, p):
 )
 def test_reduce_terms_ignores_pair_order_and_repeats(table, pairs, data):
     rows, field, keys = table._rows, table.field, table._keys
-    p = 0 if field == QQ else field.p
+    p = field.p
     pairs = [(keys.encode(m), c % p if p else c) for m, c in pairs]
     given_pairs = list(pairs)
     want = reduced_value(_reduce_terms(pairs, rows, p), p)
@@ -807,7 +808,7 @@ def test_basis_upto_restores_gc_state(name, monkeypatch):
         # the same when the engine raises; it runs with GC off
         seen = []
 
-        def failing(q, cap, associative):
+        def failing(q, keys):
             seen.append(gc.isenabled())
             raise RuntimeError("engine failed")
 

@@ -1,0 +1,142 @@
+"""Seeded digest of CLI exit codes and output bytes over a fixed call matrix.
+
+    PYTHONPATH=src python3 tools/cli_digest.py [--seed 1] [--verbose]
+
+Runs `digrow.cli.main` in process on
+- every shipped fixture x basis/growth/gk x both modes x text/json/csv at
+  n = 1, 2, 5 (csv outside growth is an invalid call and is kept as one);
+- verify, text and json, at n = 1, 2, 5, 9;
+- nf with five seeded expressions per fixture and mode;
+- seeded presentations over GF(7), GF(32003) and Q with fractional
+  coefficients, identity schemes and a slack line, through every verb,
+  also with --slack overrides.
+
+Every call adds its argv, exit code, stdout and stderr to one sha256, with
+input paths replaced by a placeholder (`verify --format json` echoes the
+path).  The last line printed is the digest; two checkouts that print the
+same digest behave the same on the matrix.  --verbose prints one line per
+call first (exit code, digest of that call, argv) for diffing two checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import random
+import sys
+import tempfile
+
+from digrow import fixture_path
+from digrow.cli import load_presentation, main as cli_main
+
+FIXTURES = ("comm_a", "comm_ab", "cross_a", "free_a", "free_ab", "inhomog_ab",
+            "middle_cap_a", "zero_a")
+MODES = ("dialgebra", "assoc")
+COEFFS = ("1", "-1", "2", "-3", "5", "1/2", "-2/3", "7/3", "-5/4")
+PLACEHOLDER = "<FILE>"
+
+
+def literal(rng, names, terms: int, top: int, assoc: bool) -> str:
+    """A seeded element literal over the given generator names."""
+    out = []
+    for i in range(terms):
+        length = rng.randint(1, top)
+        word = " ".join(rng.choice(names) for _ in range(length))
+        middle = 1 if assoc else rng.randint(1, length)
+        c = rng.choice(COEFFS)
+        sign = "-" if c.startswith("-") else "+"
+        body = f"{c.lstrip('-')}*[{word}]@{middle}"
+        out.append((sign if i or sign == "-" else "") + (" " if i else "") + body)
+    return " ".join(out)
+
+
+def generated(rng, field: str) -> str:
+    """A seeded presentation file over `field` with schemes and a slack line."""
+    lines = [f"field {field}", "generators a b"]
+    for _ in range(rng.randint(1, 2)):
+        lines.append("rel " + literal(rng, "ab", rng.randint(2, 3), 3, False))
+    lines += [f"idrel {tag}" for tag in ("lcomm", "rcomm", "cross") if rng.random() < 0.4]
+    lines.append(f"slack {rng.randint(0, 2)}")
+    return "\n".join(lines) + "\n"
+
+
+def calls(rng, files: list[str]):
+    """The argv lists of the matrix; files are the generated presentations."""
+    for name in FIXTURES:
+        path = fixture_path(name)
+        for verb in ("basis", "growth", "gk"):
+            for mode in MODES:
+                for fmt in ("text", "json", "csv"):
+                    for n in (1, 2, 5):
+                        yield [verb, path, "--max-degree", str(n), "--mode", mode,
+                               "--format", fmt]
+        for fmt in ("text", "json"):
+            for n in (1, 2, 5, 9):
+                yield ["verify", path, "--max-degree", str(n), "--format", fmt]
+        names = load_presentation(path).alphabet.names
+        for mode in MODES:
+            for _ in range(5):
+                expr = literal(rng, names, rng.randint(1, 3), 4, mode == "assoc")
+                yield ["nf", path, "--max-degree", "4", "--mode", mode, f"--expr={expr}"]
+    for path in files:
+        for verb in ("basis", "growth", "gk"):
+            for mode in MODES:
+                for n in (3, 5):
+                    yield [verb, path, "--max-degree", str(n), "--mode", mode,
+                           "--format", "json"]
+                yield [verb, path, "--max-degree", "4", "--mode", mode, "--slack", "1"]
+        for n in (3, 5):
+            yield ["verify", path, "--max-degree", str(n), "--format", "json"]
+        yield ["verify", path, "--max-degree", "4", "--slack", "0"]
+        for mode in MODES:
+            for _ in range(3):
+                expr = literal(rng, "ab", rng.randint(1, 3), 4, mode == "assoc")
+                yield ["nf", path, "--max-degree", "4", "--mode", mode, f"--expr={expr}"]
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--verbose", action="store_true", help="one line per call")
+    args = ap.parse_args(argv)
+    rng = random.Random(args.seed)
+    digest = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for i, field in enumerate(("gf 7", "gf 32003", "Q")):
+            path = os.path.join(tmp, f"generated_{i}.dpres")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(generated(rng, field))
+            files.append(path)
+        for call in calls(rng, files):
+            code, out, err = run(call)
+            path = call[1]
+            shown = " ".join(PLACEHOLDER if a == path else a for a in call)
+            record = "\0".join([
+                shown,
+                str(code),
+                out.replace(path, PLACEHOLDER),
+                err.replace(path, PLACEHOLDER),
+            ]).encode() + b"\n"
+            digest.update(record)
+            count += 1
+            if args.verbose:
+                print(f"{code} {hashlib.sha256(record).hexdigest()[:12]} {shown}")
+    print(f"{count} calls")
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,9 +45,10 @@ SCHEMES = ("lcomm", "rcomm", "cross")
 def binomial(q: Presentation) -> bool:
     """The congruence-engine predicate: homogeneous, every relator c*m or
     c*m1 - c*m2."""
-    add, zero = q.field.add, q.field.zero
+    # c and -c sum to p: 0 over Q, and p itself for residues in [0, p)
+    p = q.field.p
     return q.homogeneous and all(
-        len(r.terms) == 1 or (len(r.terms) == 2 and add(*r.terms.values()) == zero)
+        len(r.terms) == 1 or (len(r.terms) == 2 and sum(r.terms.values()) == p)
         for r in q.relators
     )
 
