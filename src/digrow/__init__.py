@@ -39,9 +39,7 @@ from .monomial import (
     Alphabet,
     Disequence,
     lprod,
-    middle_submonomials,
     monomials,
-    parse_disequence,
     rprod,
     universe_count,
 )
@@ -53,7 +51,6 @@ from .presentation import (
     associated_associative,
     basis_upto,
     collapse_middle,
-    echelonize,
     normal_form,
     prefix_suffix_check,
 )
@@ -69,12 +66,11 @@ def fixture_path(name: str) -> str:
 
 
 __all__ = [
-    "Alphabet", "Disequence", "lprod", "rprod",
-    "middle_submonomials", "monomials", "parse_disequence", "universe_count",
+    "Alphabet", "Disequence", "lprod", "rprod", "monomials", "universe_count",
     "DiElement", "QQ", "RationalField", "PrimeField", "parse_element",
     "parse_field", "axiom_residuals",
     "Presentation", "BasisTable", "basis_upto",
-    "normal_form", "echelonize", "associated_associative", "collapse_middle",
+    "normal_form", "associated_associative", "collapse_middle",
     "prefix_suffix_check", "DIALGEBRA", "ASSOCIATIVE",
     "GrowthSeries", "GkEstimate", "growth_series", "gk_estimate",
     "theorem_a_check", "gap_check", "special_basis_check",

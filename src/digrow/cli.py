@@ -12,10 +12,10 @@ import argparse
 import random
 import sys
 
+from . import growth
 from .element import DiElement, QQ, _sum_terms, axiom_residuals, parse_element, parse_field
 from .errors import ParseError, ResourceCapExceeded
 from .growth import (
-    MAX_IDENTITY_PAIRS,
     GrowthSeries,
     fit_window,
     gap_check,
@@ -358,7 +358,7 @@ def cmd_verify(args) -> int:
     else:
         report("INFO", "no middle bound m found")
 
-    ic = identity_class_check(pres, table_d, MAX_IDENTITY_PAIRS)
+    ic = identity_class_check(pres, table_d)
     declared_broken = [tag for tag in pres.schemes if not ic.holds[tag]]
     if declared_broken:
         report("FAIL", f"declared schemes fail in their own quotient: {declared_broken}")
@@ -366,7 +366,7 @@ def cmd_verify(args) -> int:
         held = [tag for tag, h in ic.holds.items() if h]
         report("PASS", f"identity scan ({ic.pairs_checked} pairs): holding = {held or 'none'}")
     if not ic.exhaustive:
-        report("WARN", f"identity scan capped at {MAX_IDENTITY_PAIRS} pairs per identity; "
+        report("WARN", f"identity scan capped at {growth.MAX_IDENTITY_PAIRS} pairs per identity; "
                        "no prediction drawn")
     for pred in ic.predictions:
         report("INFO", pred)

@@ -199,13 +199,6 @@ class DiElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading(self):
-        """(largest monomial, its coefficient), or None for the zero element."""
-        if not self.terms:
-            return None
-        mono = max(self.terms, key=Disequence.sort_key)
-        return mono, self.terms[mono]
-
     def support(self) -> list[Disequence]:
         return sorted(self.terms, key=Disequence.sort_key, reverse=True)
 
@@ -251,14 +244,8 @@ class DiElement:
             return NotImplemented
         return self.scaled(coeff)
 
-    def mul(self, other: "DiElement", op: str) -> "DiElement":
-        """Bilinear product; op is "lprod" or "rprod"."""
-        if op == "lprod":
-            mprod = lprod
-        elif op == "rprod":
-            mprod = rprod
-        else:
-            raise ValueError(f"op must be lprod or rprod, got {op!r}")
+    def _product(self, other: "DiElement", mprod) -> "DiElement":
+        """The bilinear extension of the monomial product mprod."""
         self._check_mate(other)
         return self._summed(
             (mprod(mu, mv), cu * cv)
@@ -267,10 +254,10 @@ class DiElement:
         )
 
     def lprod(self, other: "DiElement") -> "DiElement":
-        return self.mul(other, "lprod")
+        return self._product(other, lprod)
 
     def rprod(self, other: "DiElement") -> "DiElement":
-        return self.mul(other, "rprod")
+        return self._product(other, rprod)
 
     # -- comparison and printing ----------------------------------------------
 

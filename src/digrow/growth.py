@@ -417,12 +417,11 @@ class IdentityClassReport:
         }
 
 
-def identity_class_check(pres: Presentation, table_d: BasisTable,
-                         max_pairs: int = MAX_IDENTITY_PAIRS) -> IdentityClassReport:
+def identity_class_check(pres: Presentation, table_d: BasisTable) -> IdentityClassReport:
     """Test x|-y = y|-x, x-|y = y-|x and x|-y = y-|x on basis-monomial pairs.
 
     Pairs range over basis monomials with total length within the table's
-    degree bound (capped at max_pairs per identity); each instance must
+    degree bound (capped at MAX_IDENTITY_PAIRS per identity); each instance must
     reduce to zero.  Holding identities force integer growth exponents
     bounded by the alphabet size.  The scan runs on split keys against the
     table's kernel rows and decodes only a witness.
@@ -451,7 +450,7 @@ def identity_class_check(pres: Presentation, table_d: BasisTable,
                 v = split[j]
                 if u[0] + v[0] > n:
                     break
-                if seen >= max_pairs:
+                if seen >= MAX_IDENTITY_PAIRS:
                     exhaustive = False
                     done = True
                     break

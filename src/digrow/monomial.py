@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
 
-from .errors import AlphabetMismatch, ParseError
+from .errors import AlphabetMismatch
 
 # ranks are stored one byte each
 MAX_LETTERS = 255
@@ -53,9 +53,6 @@ class Alphabet:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
-
-    def generators(self) -> tuple["Disequence", ...]:
-        return tuple(Disequence(self, bytes([i]), 1) for i in range(self.size))
 
     def __hash__(self):
         return hash(self.names)
@@ -155,49 +152,6 @@ def rprod(u: Disequence, v: Disequence) -> Disequence:
     return Disequence(a, u.word + v.word, u.middle)
 
 
-def middle_submonomials(u: Disequence) -> list[Disequence]:
-    """All [a_p ... a_q]@(m-p+1) with p <= m <= q, ascending.
-
-    Exactly m*(t-m+1) of them, all distinct.
-    """
-    w, m, a = u.word, u.middle, u.alphabet
-    t = len(w)
-    out = [
-        Disequence(a, w[p - 1 : q], m - p + 1)
-        for p in range(1, m + 1)
-        for q in range(m, t + 1)
-    ]
-    out.sort(key=Disequence.sort_key)
-    return out
-
-
-def parse_disequence(text: str, alphabet: Alphabet) -> Disequence:
-    """Parse a monomial literal like "[a b c]@2"."""
-    s = text.strip()
-    if not s.startswith("["):
-        raise ParseError("expected '['", column=1)
-    close = s.find("]")
-    if close < 0:
-        raise ParseError("missing ']'", column=len(s))
-    names = s[1:close].split()
-    if not names:
-        raise ParseError("empty monomial", column=2)
-    rest = s[close + 1 :]
-    if not rest.startswith("@"):
-        raise ParseError("expected '@' after ']'", column=close + 2)
-    digits = rest[1:]
-    if not digits.isdigit():
-        raise ParseError("expected middle index after '@'", column=close + 3)
-    try:
-        word = bytes(alphabet.rank(nm) for nm in names)
-    except KeyError as exc:
-        raise ParseError(str(exc.args[0]), column=2) from None
-    middle = int(digits)
-    if not 1 <= middle <= len(word):
-        raise ParseError(f"middle {middle} out of range", column=close + 3)
-    return Disequence(alphabet, word, middle)
-
-
 #### enumeration ############################################################
 
 
@@ -245,6 +199,17 @@ def universe_count(alphabet_size: int, length: int, associative: bool = False) -
     """How many monomials of one length exist: t*k^t, or k^t with middles pinned."""
     n = alphabet_size**length
     return n if associative else length * n
+
+
+def universe_total(alphabet_size: int, cap: int, associative: bool = False) -> int:
+    """How many monomials of length 1..cap exist: the sum of universe_count
+    over those lengths, in closed form, so a huge cap costs a few powers."""
+    k, c = alphabet_size, cap
+    if k == 1:
+        return c if associative else c * (c + 1) // 2
+    if associative:
+        return (k ** (c + 1) - k) // (k - 1)
+    return (c * k ** (c + 2) - (c + 1) * k ** (c + 1) + k) // (k - 1) ** 2
 
 
 class KeyCodec:

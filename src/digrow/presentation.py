@@ -35,7 +35,7 @@ from .errors import (
     FieldMismatch,
     ResourceCapExceeded,
 )
-from .monomial import Alphabet, Disequence, KeyCodec, lprod, monomials, rprod
+from .monomial import Alphabet, Disequence, KeyCodec, monomials, universe_total
 
 DIALGEBRA = "dialgebra"
 ASSOCIATIVE = "associative"
@@ -44,6 +44,15 @@ SCHEME_TAGS = ("lcomm", "rcomm", "cross")
 # desk-scale guard rails
 DEFAULT_UNIVERSE_CAP = 2_000_000
 MATERIALIZE_CAP = 5_000_000
+
+
+def _count_text(n: int) -> str:
+    """n in decimal, or a power-of-two bound once n has more digits than
+    Python converts to str (sys.get_int_max_str_digits)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2**{n.bit_length() - 1}"
 
 
 def _norm_mode(mode: str) -> str:
@@ -59,17 +68,11 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def scheme_pair(tag: str, u: Disequence, v: Disequence) -> tuple[Disequence, Disequence]:
-    """The monomials (m1, m2) that the identity scheme tag equates on (u, v)."""
-    if tag == "lcomm":
-        return lprod(u, v), lprod(v, u)
-    if tag == "rcomm":
-        return rprod(u, v), rprod(v, u)
-    return lprod(u, v), rprod(v, u)
-
-
 def _key_scheme_pair(keys: KeyCodec, tag: str, u: tuple, v: tuple) -> tuple[int, int]:
-    """scheme_pair on split keys (see KeyCodec.split), as a pair of keys."""
+    """The keys (m1, m2) that the identity scheme tag equates on the split
+    keys (u, v) (see KeyCodec.split): lcomm is u |- v = v |- u, rcomm is
+    u -| v = v -| u and cross is u |- v = v -| u.
+    """
     if tag == "lcomm":
         return keys.lprod(u, v), keys.lprod(v, u)
     if tag == "rcomm":
@@ -353,30 +356,6 @@ def _row_element(keys: KeyCodec, field, p: int, piv: int, row: tuple) -> DiEleme
     return DiElement(keys.alphabet, field, terms, _clean=True)
 
 
-def echelonize(elements) -> list[DiElement]:
-    """Gaussian elimination keyed by the monomial order.
-
-    Returns monic, fully inter-reduced rows with distinct pivots, largest
-    pivot first.  The span of the input is preserved.
-    """
-    elements = list(elements)
-    if not elements:
-        return []
-    alphabet, field = elements[0].alphabet, elements[0].field
-    p = field.p
-    keys = KeyCodec(alphabet, max(x.max_length() for x in elements))
-    rows, users = {}, {}
-    for x in elements:
-        if x.alphabet != alphabet:
-            raise AlphabetMismatch("mixing alphabets")
-        if x.field != field:
-            raise FieldMismatch("mixing scalar fields")
-        _, nf = _reduce_terms(_integer_terms(x.terms.items(), p, keys.encode)[1], rows, p)
-        if nf:
-            _insert_row(rows, users, nf, p)
-    return [_row_element(keys, field, p, piv, rows[piv]) for piv in sorted(rows, reverse=True)]
-
-
 # ===== saturation ==========================================================
 
 
@@ -623,7 +602,7 @@ class BasisTable:
         if total > MATERIALIZE_CAP:
             raise ResourceCapExceeded(
                 f"materializing the basis up to degree {self.degree_bound} "
-                f"would enumerate {total} monomials"
+                f"would enumerate {_count_text(total)} monomials"
             )
         return total
 
@@ -649,11 +628,6 @@ class BasisTable:
             offset(t + 1) - offset(t) - (starts[t] - starts[t - 1])
             for t in range(1, self.degree_bound + 1)
         ]
-
-    def count_upto(self, n: int) -> int:
-        if not 0 <= n <= self.degree_bound:
-            raise DegreeBoundExceeded(f"degree {n} beyond table bound {self.degree_bound}")
-        return sum(self.counts_by_degree()[:n])
 
     def to_json_dict(self) -> dict:
         return {
@@ -688,17 +662,20 @@ def basis_upto(
     q = associated_associative(pres) if associative else pres
     eff = _effective_slack(q, slack)
     cap = n + eff
-    keys = KeyCodec(q.alphabet, cap, associative)
-    rows = {}
-    if q.relators or q.schemes:
+    saturate = bool(q.relators or q.schemes)
+    if saturate:
         if max_universe is None:
             max_universe = DEFAULT_UNIVERSE_CAP
-        total = keys.offset(cap + 1)
+        # checked before the KeyCodec is built: it holds O(cap**2) bits
+        total = universe_total(q.alphabet.size, cap, associative)
         if total > max_universe:
             raise ResourceCapExceeded(
-                f"elimination up to degree {cap} would touch {total} monomials "
-                f"(cap {max_universe}); lower the degree or raise the cap"
+                f"elimination up to degree {cap} would touch {_count_text(total)} "
+                f"monomials (cap {max_universe}); lower the degree or raise the cap"
             )
+    keys = KeyCodec(q.alphabet, cap, associative)
+    rows = {}
+    if saturate:
         engine = _congruence_rows if _binomial(q) else _elimination_rows
         # the engines build no reference cycles; cyclic GC would only
         # rescan their growing containers

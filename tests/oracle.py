@@ -104,6 +104,17 @@ def o_normal_form(terms, rows):
 _OPS = (o_lprod, o_rprod)
 
 
+def o_scheme_pair(tag, u, v):
+    """The monomials (m1, m2) that the identity scheme tag equates on (u, v):
+    lcomm is u |- v = v |- u, rcomm is u -| v = v -| u and cross is
+    u |- v = v -| u."""
+    if tag == "lcomm":
+        return o_lprod(u, v), o_lprod(v, u)
+    if tag == "rcomm":
+        return o_rprod(u, v), o_rprod(v, u)
+    return o_lprod(u, v), o_rprod(v, u)
+
+
 def o_scheme_instances(names, schemes, cap, associative=False):
     """Scheme rows over all ordered monomial pairs with length sum <= cap.
 
@@ -113,23 +124,14 @@ def o_scheme_instances(names, schemes, cap, associative=False):
     out = []
     if not schemes:
         return out
+    tags = ("rcomm",) if associative else schemes
     monos = {t: o_monomials(names, t, associative) for t in range(1, cap)}
     for l1 in range(1, cap):
         for l2 in range(1, cap + 1 - l1):
             for u in monos[l1]:
                 for v in monos[l2]:
-                    if associative:
-                        m1, m2 = o_rprod(u, v), o_rprod(v, u)
-                        if m1 != m2:
-                            out.append({m1: Fraction(1), m2: Fraction(-1)})
-                        continue
-                    for tag in schemes:
-                        if tag == "lcomm":
-                            m1, m2 = o_lprod(u, v), o_lprod(v, u)
-                        elif tag == "rcomm":
-                            m1, m2 = o_rprod(u, v), o_rprod(v, u)
-                        else:
-                            m1, m2 = o_lprod(u, v), o_rprod(v, u)
+                    for tag in tags:
+                        m1, m2 = o_scheme_pair(tag, u, v)
                         if m1 != m2:
                             out.append({m1: Fraction(1), m2: Fraction(-1)})
     return out

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import digrow
-from digrow import cli, fixture_path, presentation
+from digrow import cli, fixture_path, growth, presentation
 from digrow.cli import main, parse_presentation
 from digrow.element import QQ, PrimeField
 from digrow.errors import ParseError
@@ -306,7 +306,7 @@ def test_zero_pair_identity_scan_predicts_nothing(capsys):
 
 
 def test_verify_capped_identity_scan_warns(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_IDENTITY_PAIRS", 10)
+    monkeypatch.setattr(growth, "MAX_IDENTITY_PAIRS", 10)
     code, out, _ = run(capsys, "verify", COMM_AB, "--max-degree", "5")
     assert code == 0
     assert "WARN identity scan capped at 10 pairs per identity; no prediction drawn" in out
@@ -369,6 +369,10 @@ def test_saturation_universe_cap_exits_3(capsys):
     code, out, err = run(capsys, "growth", COMM_AB, "--max-degree", "20", "--force")
     assert code == 3 and out == ""
     assert "resource cap" in err and "monomials" in err
+    # a universe too large for str() is refused the same way
+    code, out, err = run(capsys, "growth", COMM_AB, "--mode", "assoc", "--max-degree", "20000")
+    assert code == 3 and out == ""
+    assert err.startswith("digrow: resource cap: elimination up to degree 20000 ")
 
 
 def test_csv_rejected_before_any_work(capsys, monkeypatch):
@@ -507,27 +511,33 @@ def test_outputs_are_byte_deterministic(capsys):
 
 
 def test_benchmark_hooks_resolve():
-    # perfbench/traced.py wraps digrow calls by (module, attribute) and imports
-    # names from digrow; read both from its source, without running it
+    # perfbench/traced.py wraps digrow calls by (module, attribute), and the
+    # scripts under perfbench/ and tools/ import names from digrow, some of
+    # them inside functions; read all of them from source, without running it
     import ast
     import importlib
 
-    traced = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
-    tree = ast.parse(traced.read_text(encoding="utf-8"))
+    root = Path(__file__).resolve().parents[1]
+    traced = ast.parse((root / "perfbench" / "traced.py").read_text(encoding="utf-8"))
     wrapped = next(
         ast.literal_eval(node.value)
-        for node in tree.body
+        for node in traced.body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
     )
     hooks = [(module, attr) for module, attr, _ in wrapped]
-    hooks += [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("digrow")
-        for alias in node.names
-    ]
-    assert len(hooks) > len(wrapped)
+    scripts = sorted([*root.glob("perfbench/*.py"), *root.glob("tools/*.py")])
+    for script in scripts:
+        hooks += [
+            (node.module, alias.name)
+            for node in ast.walk(ast.parse(script.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("digrow")
+            for alias in node.names
+        ]
+    assert ("digrow.presentation", "normal_form") in hooks[len(wrapped):]  # make_reference.py
+    assert ("digrow", "associated_associative") in hooks  # tools/rows_digest.py
     for module, attr in hooks:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
     assert isinstance(presentation.BasisTable.basis, property)
+    for name in digrow.__all__:
+        assert hasattr(digrow, name), name

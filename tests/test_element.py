@@ -15,7 +15,7 @@ from digrow.element import (
     parse_field,
 )
 from digrow.errors import AlphabetMismatch, FieldMismatch, ParseError
-from digrow.monomial import Alphabet, Disequence, parse_disequence
+from digrow.monomial import Alphabet, Disequence
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -28,7 +28,9 @@ def E(text, alphabet=AB, field=QQ):
 
 
 def D(text, alphabet=AB):
-    return parse_disequence(text, alphabet)
+    """The monomial of a one-term literal such as "[a b]@2"."""
+    (m,) = parse_element(text, alphabet).terms
+    return m
 
 
 #### strategies
@@ -110,18 +112,16 @@ def test_product_against_zero():
     x = E("[a b]@2 + 3*[a]@1")
     assert x.lprod(z) == z and z.lprod(x) == z
     assert x.rprod(z) == z and z.rprod(x) == z
-    with pytest.raises(ValueError):
-        x.mul(z, "times")
 
 
 @given(elements_over_fields(3), scalars)
 def test_bilinearity(xyz, r):
     x, y, z = xyz
-    for op in ("lprod", "rprod"):
-        assert (x + y).mul(z, op) == x.mul(z, op) + y.mul(z, op)
-        assert x.mul(y + z, op) == x.mul(y, op) + x.mul(z, op)
-        assert (r * x).mul(y, op) == r * x.mul(y, op)
-        assert x.mul(r * y, op) == r * x.mul(y, op)
+    for prod in (DiElement.lprod, DiElement.rprod):
+        assert prod(x + y, z) == prod(x, z) + prod(y, z)
+        assert prod(x, y + z) == prod(x, y) + prod(x, z)
+        assert prod(r * x, y) == r * prod(x, y)
+        assert prod(x, r * y) == r * prod(x, y)
 
 
 @given(elements_over_fields(3, max_len=2))
@@ -137,20 +137,17 @@ def test_axiom_residuals_monomial_triple():
     assert all(r.is_zero for r in rs)
 
 
-# ===== leading terms =======================================================
-
-
-def test_leading_examples():
-    assert E("5*[b]@1 + 2*[a]@1").leading() == (D("[b]@1"), Fraction(5))
-    # middle breaks the tie between equal words
-    assert E("[a a]@1 + [a a]@2").leading() == (D("[a a]@2"), Fraction(1))
-    assert E("[a]@1 - [a b a]@2").leading() == (D("[a b a]@2"), Fraction(-1))
-    assert E("0").leading() is None
+# ===== support =============================================================
 
 
 def test_support_is_descending():
     x = E("[a]@1 + [b a]@2 + 2*[a b]@1")
     assert x.support() == [D("[b a]@2"), D("[a b]@1"), D("[a]@1")]
+    assert E("5*[b]@1 + 2*[a]@1").support() == [D("[b]@1"), D("[a]@1")]
+    # middle breaks the tie between equal words
+    assert E("[a a]@1 + [a a]@2").support() == [D("[a a]@2"), D("[a a]@1")]
+    assert E("[a]@1 - [a b a]@2").support() == [D("[a b a]@2"), D("[a]@1")]
+    assert E("0").support() == []
     assert x.max_length() == 2
     assert x.is_homogeneous() is False
     assert E("[a b]@1 - [b a]@2").is_homogeneous() is True

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from digrow.cli import load_presentation
-from digrow import fixture_path
+from digrow import fixture_path, growth
 from digrow.growth import (
     BOUNDED,
     GAP_BAND,
@@ -388,15 +388,16 @@ def test_identities_on_cross_fixture():
     assert len(report.predictions) == 3
 
 
-def test_identity_check_respects_pair_cap():
+def test_identity_check_respects_pair_cap(monkeypatch):
     pres = fixture("comm_ab")
     table = basis_upto(pres, 5)
-    report = identity_class_check(pres, table, max_pairs=10)
+    assert identity_class_check(pres, table).exhaustive
+    monkeypatch.setattr(growth, "MAX_IDENTITY_PAIRS", 10)
+    report = identity_class_check(pres, table)
     assert report.pairs_checked <= 30  # 10 per identity
     # a capped scan claims nothing it did not check
     assert not report.exhaustive
     assert report.predictions == ()
-    assert identity_class_check(pres, table).exhaustive
 
 
 def test_zero_pair_scan_predicts_nothing():

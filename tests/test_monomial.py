@@ -1,22 +1,22 @@
-"""Monomials: products, the length-middle-lex order, submonomials, literals."""
+"""Monomials: products, the length-middle-lex order, enumeration, keys, literals."""
 
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+from digrow.element import parse_element
 from digrow.errors import AlphabetMismatch, ParseError
 from digrow.monomial import (
     Alphabet,
     Disequence,
     KeyCodec,
     lprod,
-    middle_submonomials,
     monomials,
-    parse_disequence,
     position,
     rprod,
     universe_count,
+    universe_total,
 )
 
 A = Alphabet.of("a")
@@ -27,7 +27,9 @@ A4 = Alphabet.of("a1", "a2", "a3", "a4")
 
 
 def D(text, alphabet=AB):
-    return parse_disequence(text, alphabet)
+    """The monomial of a one-term literal such as "[a b]@2"."""
+    (m,) = parse_element(text, alphabet).terms
+    return m
 
 
 #### strategies
@@ -92,6 +94,11 @@ def test_comparison_operators_match_compare():
 
 def test_enumeration_is_sorted_and_counted():
     for alphabet in (A, AB, ABC):
+        for associative in (False, True):
+            assert [universe_total(alphabet.size, c, associative) for c in range(8)] == [
+                sum(universe_count(alphabet.size, t, associative) for t in range(1, c + 1))
+                for c in range(8)
+            ]
         for t in range(1, 7):
             ms = list(monomials(alphabet, t))
             assert len(ms) == universe_count(alphabet.size, t)
@@ -104,7 +111,7 @@ def test_enumeration_is_sorted_and_counted():
 
 def test_position_is_the_enumeration_index():
     for alphabet in (A, AB, ABC):
-        gens = alphabet.generators()
+        gens = [Disequence(alphabet, bytes([i]), 1) for i in range(alphabet.size)]
         for associative in (False, True):
             keys = KeyCodec(alphabet, 5, associative)
             key = 0
@@ -184,44 +191,20 @@ def test_monotonicity_fails_without_middle_one_clause():
     assert lprod(u, w) < lprod(v, w)
 
 
-# ===== middle submonomials =================================================
-
-
-def test_middle_submonomials_examples():
-    got = middle_submonomials(D("[a b c]@2", ABC))
-    want = {D(s, ABC) for s in ("[b]@1", "[a b]@2", "[b c]@1", "[a b c]@2")}
-    assert set(got) == want
-    assert set(middle_submonomials(D("[a]@1", A))) == {D("[a]@1", A)}
-    got = middle_submonomials(D("[a b c]@1", ABC))
-    assert set(got) == {D(s, ABC) for s in ("[a]@1", "[a b]@1", "[a b c]@1")}
-
-
-@given(disequences(max_len=6))
-def test_middle_submonomial_count_and_validity(u):
-    subs = middle_submonomials(u)
-    t, m = len(u.word), u.middle
-    assert len(subs) == m * (t - m + 1)
-    assert len(set(subs)) == len(subs)
-    assert u in subs
-    for s in subs:
-        # the middle letter is preserved
-        assert s.word[s.middle - 1] == u.word[m - 1]
-
-
 # ===== literals and values =================================================
 
 
 @given(disequences(alphabet=ABC))
 def test_literal_round_trip(u):
-    assert parse_disequence(u.format(), ABC) == u
+    assert D(u.format(), ABC) == u
 
 
 def test_literal_errors():
     for bad in ("[a b]@0", "[a b]@3", "[]@1", "[a b]", "a b]@1", "[a b@1", "[a b]@x"):
         with pytest.raises(ParseError):
-            parse_disequence(bad, AB)
+            D(bad)
     with pytest.raises(ParseError) as exc:
-        parse_disequence("[a c]@1", AB)
+        D("[a c]@1")
     assert "c" in str(exc.value)
 
 
