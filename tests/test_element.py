@@ -137,7 +137,21 @@ def test_axiom_residuals_monomial_triple():
     assert all(r.is_zero for r in rs)
 
 
-# ===== support =============================================================
+# ===== leading terms and support ===========================================
+
+
+def leading(x):
+    """The largest monomial of x with its coefficient, or None for zero."""
+    support = x.support()
+    return (support[0], x.terms[support[0]]) if support else None
+
+
+def test_leading_examples():
+    assert leading(E("5*[b]@1 + 2*[a]@1")) == (D("[b]@1"), Fraction(5))
+    # middle breaks the tie between equal words
+    assert leading(E("[a a]@1 + [a a]@2")) == (D("[a a]@2"), Fraction(1))
+    assert leading(E("[a]@1 - [a b a]@2")) == (D("[a b a]@2"), Fraction(-1))
+    assert leading(E("0")) is None
 
 
 def test_support_is_descending():
