@@ -214,9 +214,7 @@ def _emit(args, text: str):
 #### verbs
 
 
-def cmd_nf(args) -> int:
-    pres = load_presentation(args.file)
-    _enforce_degree_cap(args, pres)
+def cmd_nf(args, pres) -> int:
     x = parse_element(args.expr, pres.alphabet, pres.field)
     check_reducible(x, args.max_degree, args.mode)
     table = basis_upto(pres, args.max_degree, args.mode, args.slack)
@@ -234,9 +232,7 @@ def cmd_nf(args) -> int:
     return EXIT_OK
 
 
-def cmd_basis(args) -> int:
-    pres = load_presentation(args.file)
-    _enforce_degree_cap(args, pres)
+def cmd_basis(args, pres) -> int:
     table = basis_upto(pres, args.max_degree, args.mode, args.slack)
     if args.format == "json":
         _emit(args, table.to_json())
@@ -253,9 +249,7 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
-def cmd_growth(args) -> int:
-    pres = load_presentation(args.file)
-    _enforce_degree_cap(args, pres)
+def cmd_growth(args, pres) -> int:
     series = growth_series(pres, args.max_degree, args.mode, args.slack)
     if args.format == "json":
         _emit(args, series.to_json())
@@ -270,9 +264,7 @@ def cmd_growth(args) -> int:
     return EXIT_OK
 
 
-def cmd_gk(args) -> int:
-    pres = load_presentation(args.file)
-    _enforce_degree_cap(args, pres)
+def cmd_gk(args, pres) -> int:
     check_degree_bound(args.max_degree)
     fit_window(args.max_degree, args.window)
     series = growth_series(pres, args.max_degree, args.mode, args.slack)
@@ -303,9 +295,7 @@ def _random_element(rng, alphabet, field, max_len=3, terms=3):
     return DiElement(alphabet, field, _sum_terms(pairs, field), _clean=True)
 
 
-def cmd_verify(args) -> int:
-    pres = load_presentation(args.file)
-    _enforce_degree_cap(args, pres)
+def cmd_verify(args, pres) -> int:
     n = args.max_degree
     if n >= 3:
         fit_window(n, args.window)
@@ -431,7 +421,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.format == "csv" and args.verb != "growth":
             raise ParseError("csv format applies to the growth verb only")
-        return _VERBS[args.verb](args)
+        pres = load_presentation(args.file)
+        _enforce_degree_cap(args, pres)
+        return _VERBS[args.verb](args, pres)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     except ResourceCapExceeded as exc:

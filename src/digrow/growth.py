@@ -22,7 +22,6 @@ from .presentation import (
     BasisTable,
     Presentation,
     _key_scheme_pair,
-    _reduce_terms,
     basis_upto,
     canonical_json,
     normal_form,  # unused here; perfbench/traced.py wraps growth.normal_form
@@ -376,10 +375,8 @@ def special_basis_check(table_d: BasisTable) -> SpecialBasisReport:
         raise ValueError("needs a dialgebra-mode table")
     n = table_d.degree_bound
     # [a_1..a_t]@p holds exactly for m >= min(p, t - p + 1)
-    m = max(
-        (min(mono.middle, len(mono.word) - mono.middle + 1) for mono in table_d.basis),
-        default=1,
-    )
+    split = map(table_d._keys.split, table_d._basis_keys())
+    m = max((min(p, t - p + 1) for t, p, _ in split), default=1)
     # witnesses exist only at lengths > 2m; 2m < n keeps that nonvacuous
     if m < (n + 1) // 2:
         return SpecialBasisReport(
@@ -424,12 +421,15 @@ def identity_class_check(pres: Presentation, table_d: BasisTable) -> IdentityCla
     degree bound (capped at MAX_IDENTITY_PAIRS per identity); each instance must
     reduce to zero.  Holding identities force integer growth exponents
     bounded by the alphabet size.  The scan runs on split keys against the
-    table's kernel rows and decodes only a witness.
+    table's kernel rows and decodes only a witness.  table_d must come from
+    pres, whose relators and schemes the predictions read.
     """
     if table_d.mode != DIALGEBRA:
         raise ValueError("needs a dialgebra-mode table")
+    if table_d.fingerprint != pres.fingerprint:
+        raise ValueError("table comes from a different presentation")
     n = table_d.degree_bound
-    keys, rows, p = table_d._keys, table_d._rows, table_d.field.p
+    keys = table_d._keys
     basis = table_d._basis_keys()
     split = [keys.split(x) for x in basis]
     holds = {tag: True for tag in SCHEME_TAGS}
@@ -458,7 +458,7 @@ def identity_class_check(pres: Presentation, table_d: BasisTable) -> IdentityCla
                 m1, m2 = _key_scheme_pair(keys, tag, u, v)
                 if m1 == m2:
                     continue
-                if _reduce_terms(((m1, 1), (m2, -1)), rows, p)[1]:
+                if table_d._reduce(((m1, 1), (m2, -1)))[1]:
                     holds[tag] = False
                     u_mono, v_mono = keys.decode(basis[i]), keys.decode(basis[j])
                     witnesses[tag] = f"{u_mono.format()}, {v_mono.format()}"

@@ -80,6 +80,11 @@ def _key_scheme_pair(keys: KeyCodec, tag: str, u: tuple, v: tuple) -> tuple[int,
     return keys.lprod(u, v), keys.rprod(v, u)
 
 
+def _basis_keys_in(rows: dict, start: int, stop: int) -> list[int]:
+    """The keys in range(start, stop) that rows leaves in the basis."""
+    return [x for x in range(start, stop) if x not in rows]
+
+
 def _scheme_instances(schemes, keys: KeyCodec, total: int, basis: dict):
     """The key pairs (m1, m2), m1 != m2, that the schemes equate in degree
     `total`.
@@ -370,7 +375,7 @@ def _elimination_rows(q: Presentation, keys: KeyCodec) -> dict:
     single monomials and wait, deduplicated, in a set.  The span, hence the
     reduced rows, does not depend on the order candidates are taken in.
     """
-    p, cap = q.field.p, keys.cap
+    p, cap, offset = q.field.p, keys.cap, keys.offset
     images, length = keys.images, keys.length
     rows, users = {}, {}
 
@@ -385,7 +390,7 @@ def _elimination_rows(q: Presentation, keys: KeyCodec) -> dict:
     # images of killed rows: single monomials, one set per length
     kills: list[set] = [set() for _ in range(cap + 1)]
     for r in q.relators:
-        top = max(len(m.word) for m in r.terms)
+        top = r.max_length()
         if top <= cap:
             pend[top].append(_integer_terms(r.terms.items(), p, keys.encode)[1])
     basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
@@ -394,9 +399,7 @@ def _elimination_rows(q: Presentation, keys: KeyCodec) -> dict:
     while t <= cap:
         if q.schemes and t > reached:
             reached = t
-            if t > 1:
-                span = range(keys.offset(t - 1), keys.offset(t))
-                basis[t - 1] = [keys.split(x) for x in span if x not in rows]
+            basis[t - 1] = [keys.split(x) for x in _basis_keys_in(rows, offset(t - 1), offset(t))]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
                 pend[t].append(((m1, 1), (m2, -1)))
         bucket, kill = pend[t], kills[t]
@@ -442,11 +445,11 @@ def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
     reduced echelon form has the kernel row m + (1, {root: -1}) for every
     other member m of a live class (-1 read mod p over GF(p)) and
     m + _KILLED for every member of a killed one.  Members of one class
-    share one row.  Classes at degree t come from the single-generator
-    images of the rows at degree t - 1, the relators of length t and the
-    scheme instances of total degree t.
+    share one row; a root has none.  Classes at degree t come from the
+    single-generator images of the rows at degree t - 1, read back from
+    rows, the relators of length t and the scheme instances of total degree t.
     """
-    p, cap, images = q.field.p, keys.cap, keys.images
+    p, cap, images, offset = q.field.p, keys.cap, keys.images, keys.offset
     minus = -1 % p if p else -1
     relators: dict[int, list] = {}
     for r in q.relators:
@@ -456,10 +459,9 @@ def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
 
     rows: dict = {}
     basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
-    prev: list = []  # rows of degree t - 1 as (pivot, root), root -1 if killed
     for t in range(1, cap + 1):
-        off = keys.offset(t)
-        size = keys.offset(t + 1) - off
+        off = offset(t)
+        size = offset(t + 1) - off
         parent = list(range(size))
         killed = bytearray(size)
 
@@ -479,11 +481,15 @@ def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
                 killed[a] |= killed[b]
 
         root_images: dict = {}
-        for x, r in prev:
-            if r < 0:
+        for x in range(offset(t - 1), off):
+            row = rows.get(x)
+            if row is None:  # a root: its class's other members carry the edges
+                continue
+            if row is _KILLED:
                 for y in images(x):
                     killed[find(y)] = 1
                 continue
+            (r,) = row[1]
             ys = root_images.get(r)
             if ys is None:
                 ys = root_images[r] = images(r)
@@ -494,27 +500,22 @@ def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
                 killed[find(terms[0])] = 1
             else:
                 union(*terms)
-        for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
-            union(m1, m2)
+        if q.schemes:
+            basis[t - 1] = [keys.split(x) for x in _basis_keys_in(rows, offset(t - 1), off)]
+            for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
+                union(m1, m2)
 
         # a root is its class's smallest key, so its tail exists before any
         # other member comes up
-        prev = []
         shared: dict = {}
-        live = []
         for x in range(off, off + size):
             r = find(x)
             if killed[r]:
-                prev.append((x, -1))
                 rows[x] = _KILLED
             elif r != x - off:
-                prev.append((x, r + off))
                 rows[x] = shared[r]
             else:
                 shared[r] = (1, {x: minus})
-                live.append(x)
-        if q.schemes:
-            basis[t] = [keys.split(x) for x in live]
     return rows
 
 
@@ -530,7 +531,8 @@ class BasisTable:
     is a lower bound on the ideal and the basis an upper bound.  The rows
     are stored as kernel rows {key: (d, tail)} (see KeyCodec and
     _reduce_terms) and decoded to Disequence and field values only when
-    read.
+    read.  Only this module reads the kernel rows; the verify checks work on
+    keys through _basis_keys and _reduce and decode only what they print.
     """
 
     __slots__ = (
@@ -608,8 +610,11 @@ class BasisTable:
 
     def _basis_keys(self) -> list[int]:
         """The keys of basis, ascending, without building monomials."""
-        rows = self._rows
-        return [x for x in range(self._basis_end()) if x not in rows]
+        return _basis_keys_in(self._rows, 0, self._basis_end())
+
+    def _reduce(self, terms) -> tuple[int, dict]:
+        """_reduce_terms of (key, int coefficient) pairs against the rows."""
+        return _reduce_terms(terms, self._rows, self.field.p)
 
     def __contains__(self, mono: Disequence) -> bool:
         return (
@@ -724,7 +729,7 @@ def normal_form(x: DiElement, table: BasisTable) -> DiElement:
     check_reducible(x, table.degree_bound, table.mode)
     keys, p = table._keys, table.field.p
     L, terms = _integer_terms(x.terms.items(), p, keys.encode)
-    L2, nf = _reduce_terms(terms, table._rows, p)
+    L2, nf = table._reduce(terms)
     L *= L2
     return DiElement(x.alphabet, x.field,
                      {keys.decode(m): _coefficient(c, L, p) for m, c in nf.items()},
@@ -769,21 +774,23 @@ def prefix_suffix_check(table_d: BasisTable, table_a: BasisTable) -> PrefixSuffi
         raise ValueError("tables come from different presentations")
     if table_d.degree_bound != table_a.degree_bound:
         raise ValueError("tables have different degree bounds")
-    a_words = {m.word for m in table_a.basis}
-    violations = []
-    checked = 0
-    for mono in table_d.basis:
-        checked += 1
-        w, p, t = mono.word, mono.middle, len(mono.word)
-        if p > 1 and w[: p - 1] not in a_words:
-            violations.append((mono.format(), "prefix", _word_literal(mono, 0, p - 1)))
-        if p < t and w[p:] not in a_words:
-            violations.append((mono.format(), "suffix", _word_literal(mono, p, t)))
-    return PrefixSuffixReport(
-        checked, tuple(violations), table_d.exact and table_a.exact
+    # associative keys are offset(length) + word value; the word values of
+    # a_1..a_{p-1} and a_{p+1}..a_t are w // k**(t-p+1) and w % k**(t-p)
+    k = table_d.alphabet.size
+    keys_d, keys_a, rows_a = table_d._keys, table_a._keys, table_a._rows
+    basis = table_d._basis_keys()
+    found = []  # (dialgebra key, side, associative key)
+    for x in basis:
+        t, p, w = keys_d.split(x)
+        if p > 1:
+            prefix = keys_a.offset(p - 1) + w // k ** (t - p + 1)
+            if prefix in rows_a:
+                found.append((x, "prefix", prefix))
+        if p < t:
+            suffix = keys_a.offset(t - p) + w % k ** (t - p)
+            if suffix in rows_a:
+                found.append((x, "suffix", suffix))
+    violations = tuple(
+        (keys_d.decode(x).format(), side, keys_a.decode(y).format()) for x, side, y in found
     )
-
-
-def _word_literal(mono: Disequence, start: int, stop: int) -> str:
-    names = mono.alphabet.names
-    return "[" + " ".join(names[b] for b in mono.word[start:stop]) + "]@1"
+    return PrefixSuffixReport(len(basis), violations, table_d.exact and table_a.exact)

@@ -225,3 +225,36 @@ def o_basis(names, relators, schemes, n, slack=0, associative=False):
                 out.append(m)
     out.sort(key=lambda m: o_key(names, m))
     return out
+
+
+#### structural checks on basis lists
+
+
+def o_format(mono):
+    word, middle = mono
+    return "[" + " ".join(word) + "]@" + str(middle)
+
+
+def o_prefix_suffix(basis_d, basis_a):
+    """(checked, violations) of the prefix/suffix closure check.
+
+    Every dialgebra basis monomial (word, p) needs its prefix word[:p-1]
+    (when p > 1) and its suffix word[p:] (when p < len(word)) among the
+    associative basis words; a violation is (monomial, side, missing part)
+    as literals, in basis_d order, prefix before suffix.
+    """
+    a_words = {word for word, _ in basis_a}
+    violations = []
+    for word, p in basis_d:
+        if p > 1 and word[: p - 1] not in a_words:
+            violations.append((o_format((word, p)), "prefix", o_format((word[: p - 1], 1))))
+        if p < len(word) and word[p:] not in a_words:
+            violations.append((o_format((word, p)), "suffix", o_format((word[p:], 1))))
+    return len(basis_d), tuple(violations)
+
+
+def o_middle_bound(basis_d, n):
+    """The least m with p <= m or len(word) - p <= m - 1 for every (word, p)
+    in basis_d, or None unless 2m < n (a larger m holds vacuously)."""
+    m = max((min(p, len(word) - p + 1) for word, p in basis_d), default=1)
+    return m if m < (n + 1) // 2 else None

@@ -263,6 +263,27 @@ def test_verify_saturates_each_mode_once(capsys, monkeypatch):
     assert sorted(calls) == [ASSOCIATIVE, DIALGEBRA]
 
 
+def test_verify_and_checks_read_keys_not_the_basis(capsys, monkeypatch):
+    # the checks run on basis keys; only the basis verb and the API list monomials
+    def refuse(table):
+        raise AssertionError("BasisTable.basis read")
+
+    monkeypatch.setattr(presentation.BasisTable, "basis", property(refuse))
+    for argv in ((COMM_AB, "--max-degree", "6"), (FREE_AB, "--max-degree", "4"),
+                 (INHOMOG, "--max-degree", "2", "--slack", "0")):
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "verify", *argv, "--format", fmt)
+            assert code == 0 and out
+    pres = cli.load_presentation(INHOMOG)
+    td = presentation.basis_upto(pres, 2, slack=0)
+    ta = presentation.basis_upto(pres, 2, mode=ASSOCIATIVE, slack=0)
+    assert not presentation.prefix_suffix_check(td, ta).ok
+    assert growth.special_basis_check(td).degree_bound == 2
+    assert growth.identity_class_check(pres, td).pairs_checked
+    with pytest.raises(AssertionError, match="BasisTable.basis read"):
+        td.basis
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_low_degree_has_no_fit_window(capsys, n):
     # 2 <= lo < hi <= N is empty below N = 3, with or without --window

@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from digrow.cli import load_presentation
+from digrow.cli import load_presentation, parse_presentation
 from digrow import fixture_path, growth
 from digrow.growth import (
     BOUNDED,
@@ -416,6 +416,17 @@ def test_identity_check_requires_dialgebra_mode():
     pres = fixture("comm_ab")
     with pytest.raises(ValueError):
         identity_class_check(pres, basis_upto(pres, 3, mode=ASSOCIATIVE))
+
+
+def test_identity_check_requires_the_tables_presentation():
+    # the predictions read pres, the scan reads the table: they must agree
+    pres = fixture("comm_ab")
+    other = parse_presentation("generators a b\nrel [a a]@1\nidrel lcomm\nidrel rcomm\n")
+    table = basis_upto(other, 5)
+    assert table.counts_by_degree() == [2, 5, 2, 2, 2]
+    with pytest.raises(ValueError, match="different presentation"):
+        identity_class_check(pres, table)
+    assert identity_class_check(other, table).predictions
 
 
 # ===== estimator on real fixtures ==========================================

@@ -43,6 +43,7 @@ from digrow.presentation import (
     prefix_suffix_check,
 )
 from digrow import fixture_path
+from digrow.growth import special_basis_check
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -426,6 +427,32 @@ def non_binomial_presentations(draw):
 COEFFS = ["-3", "-2", "-1", "1", "2", "3", "5", "1/2", "-2/3", "7/3"]
 
 
+@st.composite
+def truncated_presentations(draw):
+    """Inhomogeneous presentations over Q whose relators are c*m + d*(v@i -
+    v@j) with v longer than m: the associative image kills m outright, while
+    dialgebra saturation reaches m only through products past the length of
+    v, so slack 0 leaves prefix/suffix violations."""
+    k = draw(st.integers(1, 2))
+    alphabet = Alphabet(tuple("ab"[:k]))
+
+    def word(length):
+        return bytes(draw(st.integers(0, k - 1)) for _ in range(length))
+
+    relators = []
+    for _ in range(draw(st.integers(1, 2))):
+        short = draw(st.integers(1, 2))
+        w, v = word(short), word(short + draw(st.integers(1, 2)))
+        i, j = draw(st.lists(st.integers(1, len(v)), min_size=2, max_size=2, unique=True))
+        c, d = (Fraction(draw(st.sampled_from(COEFFS))) for _ in range(2))
+        m = Disequence(alphabet, w, draw(st.integers(1, short)))
+        relators.append(DiElement(alphabet, QQ, {
+            m: c, Disequence(alphabet, v, i): d, Disequence(alphabet, v, j): -d,
+        }))
+    schemes = draw(st.lists(st.sampled_from(SCHEME_TAGS), unique=True, max_size=1))
+    return Presentation(alphabet, QQ, tuple(relators), tuple(schemes))
+
+
 @given(non_binomial_presentations(), st.booleans())
 def test_elimination_with_schemes_matches_oracle(pres, assoc):
     from oracle import o_basis, o_collapse, o_ideal_rows
@@ -644,6 +671,25 @@ def test_prefix_suffix_validation():
     other = basis_upto(fixture("comm_ab"), 3, mode=ASSOCIATIVE)
     with pytest.raises(ValueError):
         prefix_suffix_check(td, other)  # different presentations
+
+
+@given(
+    st.one_of(binomial_presentations(), non_binomial_presentations(),
+              truncated_presentations()),
+    st.sampled_from([0, None]),
+    st.integers(2, 4),
+)
+def test_key_level_checks_match_reference(pres, slack, n):
+    # slack 0 under-saturates inhomogeneous input, which is where violations occur
+    from oracle import o_middle_bound, o_prefix_suffix
+
+    td = basis_upto(pres, n, slack=slack)
+    ta = basis_upto(pres, n, mode=ASSOCIATIVE, slack=slack)
+    report = prefix_suffix_check(td, ta)
+    want = o_prefix_suffix(table_as_oracle(td), table_as_oracle(ta))
+    assert (report.checked, report.violations) == want
+    assert report.exact == (td.exact and ta.exact)
+    assert special_basis_check(td).m == o_middle_bound(table_as_oracle(td), n)
 
 
 # ===== caps and determinism ================================================

@@ -9,13 +9,18 @@ Runs `digrow.cli.main` in process on
 - nf with five seeded expressions per fixture and mode;
 - seeded presentations over GF(7), GF(32003) and Q with fractional
   coefficients, identity schemes and a slack line, through every verb,
-  also with --slack overrides.
+  also with --slack overrides;
+- nf --format json per fixture and mode, verify on inhomog_ab at n = 2
+  with --slack 0 (prefix/suffix violations), the three exit-3 refusals
+  (degree cap, universe cap, materialize cap) and one --out call per verb.
 
 Every call adds its argv, exit code, stdout and stderr to one sha256, with
 input paths replaced by a placeholder (`verify --format json` echoes the
-path).  The last line printed is the digest; two checkouts that print the
-same digest behave the same on the matrix.  --verbose prints one line per
-call first (exit code, digest of that call, argv) for diffing two checkouts.
+path); an --out call adds the bytes of the file it wrote, with its path
+replaced by a second placeholder.  The last line printed is the digest; two
+checkouts that print the same digest behave the same on the matrix.
+--verbose prints one line per call first (exit code, digest of that call,
+argv) for diffing two checkouts.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ FIXTURES = ("comm_a", "comm_ab", "cross_a", "free_a", "free_ab", "inhomog_ab",
 MODES = ("dialgebra", "assoc")
 COEFFS = ("1", "-1", "2", "-3", "5", "1/2", "-2/3", "7/3", "-5/4")
 PLACEHOLDER = "<FILE>"
+OUT_PLACEHOLDER = "<OUT>"
 
 
 def literal(rng, names, terms: int, top: int, assoc: bool) -> str:
@@ -63,8 +69,9 @@ def generated(rng, field: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def calls(rng, files: list[str]):
-    """The argv lists of the matrix; files are the generated presentations."""
+def calls(rng, files: list[str], out: str):
+    """The argv lists of the matrix; files are the generated presentations
+    and out is the path the --out calls write to."""
     for name in FIXTURES:
         path = fixture_path(name)
         for verb in ("basis", "growth", "gk"):
@@ -95,6 +102,22 @@ def calls(rng, files: list[str]):
             for _ in range(3):
                 expr = literal(rng, "ab", rng.randint(1, 3), 4, mode == "assoc")
                 yield ["nf", path, "--max-degree", "4", "--mode", mode, f"--expr={expr}"]
+    for name in FIXTURES:
+        path = fixture_path(name)
+        names = load_presentation(path).alphabet.names
+        for mode in MODES:
+            expr = literal(rng, names, rng.randint(1, 3), 4, mode == "assoc")
+            yield ["nf", path, "--max-degree", "4", "--mode", mode, "--format", "json",
+                   f"--expr={expr}"]
+    inhomog, comm, free = (fixture_path(name) for name in ("inhomog_ab", "comm_ab", "free_ab"))
+    for fmt in ("text", "json"):
+        yield ["verify", inhomog, "--max-degree", "2", "--slack", "0", "--format", fmt]
+    yield ["growth", comm, "--max-degree", "13"]
+    yield ["growth", comm, "--mode", "assoc", "--max-degree", "20000"]
+    yield ["basis", free, "--mode", "assoc", "--max-degree", "23", "--force"]
+    for verb in ("nf", "basis", "growth", "gk", "verify"):
+        extra = ["--expr=[a b]@2 - 2*[b a]@1"] if verb == "nf" else []
+        yield [verb, inhomog, "--max-degree", "5", "--format", "json", "--out", out, *extra]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -119,16 +142,19 @@ def main(argv=None) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(generated(rng, field))
             files.append(path)
-        for call in calls(rng, files):
+        out_path = os.path.join(tmp, "out.txt")
+        for call in calls(rng, files, out_path):
             code, out, err = run(call)
             path = call[1]
-            shown = " ".join(PLACEHOLDER if a == path else a for a in call)
-            record = "\0".join([
-                shown,
-                str(code),
-                out.replace(path, PLACEHOLDER),
-                err.replace(path, PLACEHOLDER),
-            ]).encode() + b"\n"
+            shown = " ".join(OUT_PLACEHOLDER if a == out_path else PLACEHOLDER if a == path
+                             else a for a in call)
+            fields = [shown, str(code), out.replace(path, PLACEHOLDER),
+                      err.replace(path, PLACEHOLDER)]
+            if out_path in call:
+                with open(out_path, encoding="utf-8") as fh:
+                    fields.append(fh.read().replace(path, PLACEHOLDER))
+                os.remove(out_path)
+            record = "\0".join(fields).encode() + b"\n"
             digest.update(record)
             count += 1
             if args.verbose:
