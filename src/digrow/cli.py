@@ -244,7 +244,7 @@ def cmd_basis(args, pres) -> int:
             f"slack: {table.slack}",
             "basis:",
         ]
-        lines += [f"  {m.format()}" for m in table.basis]
+        lines += [f"  {lit}" for lit in table._literals(table._basis_keys())]
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -340,7 +340,8 @@ def cmd_verify(args, pres) -> int:
     elif ps.exact:
         report("FAIL", f"prefix/suffix violations on exact table: {list(ps.violations[:3])}")
     else:
-        report("WARN", f"prefix/suffix truncation artifacts: {len(ps.violations)} monomials")
+        monos = len({mono for mono, _, _ in ps.violations})
+        report("WARN", f"prefix/suffix truncation artifacts: {monos} monomials")
 
     sb = special_basis_check(table_d)
     if sb.found:

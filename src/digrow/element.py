@@ -148,11 +148,13 @@ def parse_field(spec: str):
 
 def _sum_terms(pairs, field) -> dict:
     """Sum (monomial, coefficient) pairs, a monomial may repeat, into a
-    terms dict: Python arithmetic, then % p once and zeros dropped."""
+    terms dict: Python arithmetic, then % p once and zeros dropped.  A
+    monomial's first coefficient is stored as it is; only repeats add."""
     out: dict = {}
     get = out.get
     for m, c in pairs:
-        out[m] = get(m, 0) + c
+        old = get(m)
+        out[m] = c if old is None else old + c
     p = field.p
     if p:
         return {m: r for m, v in out.items() if (r := v % p)}
@@ -233,7 +235,8 @@ class DiElement:
     def __sub__(self, other):
         if not isinstance(other, DiElement):
             return NotImplemented
-        return self + (-other)
+        self._check_mate(other)
+        return self._summed(chain(self.terms.items(), ((m, -c) for m, c in other.terms.items())))
 
     def scaled(self, coeff) -> "DiElement":
         c0 = self.field.coerce(coeff)
@@ -305,14 +308,18 @@ def axiom_residuals(x: DiElement, y: DiElement, z: DiElement) -> tuple:
     """The five defining identities as residuals; all vanish identically.
 
     Order: associativity of rprod, associativity of lprod, then the three
-    bar identities tying the two products together.
+    bar identities tying the two products together.  Each product is taken
+    once: the four inner ones x-|y, x|-y, y-|z and y|-z, and the outer
+    x-|(y-|z) and (x|-y)|-z that two residuals share, 12 products in all.
     """
+    xr, xl, yr, yl = x.rprod(y), x.lprod(y), y.rprod(z), y.lprod(z)
+    x_yr, xl_z = x.rprod(yr), xl.lprod(z)
     return (
-        x.rprod(y).rprod(z) - x.rprod(y.rprod(z)),
-        x.lprod(y).lprod(z) - x.lprod(y.lprod(z)),
-        x.rprod(y.lprod(z)) - x.rprod(y.rprod(z)),
-        x.rprod(y).lprod(z) - x.lprod(y).lprod(z),
-        x.lprod(y.rprod(z)) - x.lprod(y).rprod(z),
+        xr.rprod(z) - x_yr,
+        xl_z - x.lprod(yl),
+        x.rprod(yl) - x_yr,
+        xr.lprod(z) - xl_z,
+        x.lprod(yr) - xl.rprod(z),
     )
 
 

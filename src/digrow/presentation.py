@@ -533,6 +533,9 @@ class BasisTable:
     _reduce_terms) and decoded to Disequence and field values only when
     read.  Only this module reads the kernel rows; the verify checks work on
     keys through _basis_keys and _reduce and decode only what they print.
+    The basis and pivot literals of to_json_dict and the basis verb are
+    formatted from keys by _literals, so the Disequence lists basis and
+    pivots are built only for API callers.
     """
 
     __slots__ = (
@@ -634,14 +637,41 @@ class BasisTable:
             for t in range(1, self.degree_bound + 1)
         ]
 
+    def _literals(self, keys: list[int]) -> list[str]:
+        """The literals Disequence.format() writes for ascending keys,
+        without building a Disequence.
+
+        Walks the keys length by length.  Each length t has one table of
+        "[a_1 ... a_t" heads indexed by word value, grown from the table of
+        length t - 1, so a word's letters are joined once, not once per
+        middle; a key's literal is its word's head plus "]@middle".
+        """
+        codec, names = self._keys, self.alphabet.names
+        out: list[str] = []
+        heads = ["["]
+        i, end = 0, len(keys)
+        t = 0
+        while i < end:
+            t += 1
+            sep = " " if t > 1 else ""
+            heads = [h + sep + a for h in heads for a in names]
+            start, size = codec.offset(t), len(heads)
+            j = bisect_left(keys, codec.offset(t + 1), i)
+            if j > i:
+                tails = [f"]@{m}" for m in range(1, t + 1)]
+                out += [heads[w] + tails[m0]
+                        for m0, w in (divmod(x - start, size) for x in keys[i:j])]
+            i = j
+        return out
+
     def to_json_dict(self) -> dict:
         return {
             "mode": self.mode,
             "degree_bound": self.degree_bound,
             "homogeneous": self.homogeneous,
             "slack": self.slack,
-            "basis": [m.format() for m in self.basis],
-            "pivots": [m.format() for m in self.pivots],
+            "basis": self._literals(self._basis_keys()),
+            "pivots": self._literals(sorted(self._rows)),
         }
 
     def to_json(self) -> str:

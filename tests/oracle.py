@@ -258,3 +258,21 @@ def o_middle_bound(basis_d, n):
     in basis_d, or None unless 2m < n (a larger m holds vacuously)."""
     m = max((min(p, len(word) - p + 1) for word, p in basis_d), default=1)
     return m if m < (n + 1) // 2 else None
+
+
+#### the defining identities
+
+
+def o_axiom_residuals(x, y, z):
+    """The five residuals of element.axiom_residuals in its twenty-product
+    form, every product of every residual taken afresh.  Unlike the rest of
+    this module it works on DiElement values, through their own lprod and
+    rprod.
+    """
+    return (
+        x.rprod(y).rprod(z) - x.rprod(y.rprod(z)),
+        x.lprod(y).lprod(z) - x.lprod(y.lprod(z)),
+        x.rprod(y.lprod(z)) - x.rprod(y.rprod(z)),
+        x.rprod(y).lprod(z) - x.lprod(y).lprod(z),
+        x.lprod(y.rprod(z)) - x.lprod(y).rprod(z),
+    )

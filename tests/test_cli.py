@@ -14,6 +14,7 @@ from digrow.cli import main, parse_presentation
 from digrow.element import QQ, PrimeField
 from digrow.errors import ParseError
 from digrow.growth import TheoremAReport
+from digrow.monomial import Disequence
 from digrow.presentation import ASSOCIATIVE, DIALGEBRA
 
 
@@ -282,6 +283,65 @@ def test_verify_and_checks_read_keys_not_the_basis(capsys, monkeypatch):
     assert growth.identity_class_check(pres, td).pairs_checked
     with pytest.raises(AssertionError, match="BasisTable.basis read"):
         td.basis
+
+
+def test_basis_literals_come_from_keys(capsys, monkeypatch):
+    # basis and pivot literals are formatted from keys: no BasisTable.basis
+    # list and no Disequence.format() once the table is built (building it
+    # formats the relators, for the fingerprint)
+    armed = []
+    fmt = Disequence.format
+
+    def guarded_format(mono):
+        if armed:
+            raise AssertionError("Disequence.format called")
+        return fmt(mono)
+
+    def refuse(table):
+        raise AssertionError("BasisTable.basis read")
+
+    real = cli.basis_upto
+
+    def basis_upto(*args, **kwargs):
+        armed.clear()
+        table = real(*args, **kwargs)
+        armed.append(True)
+        return table
+
+    argvs = [(path, "--max-degree", n, "--mode", mode, "--format", fmt_)
+             for path, n in ((COMM_AB, "6"), (INHOMOG, "4"), (FREE_AB, "3"))
+             for mode in (DIALGEBRA, "assoc") for fmt_ in ("text", "json")]
+    monkeypatch.setattr(Disequence, "format", guarded_format)
+    monkeypatch.setattr(presentation.BasisTable, "basis", property(refuse))
+    monkeypatch.setattr(cli, "basis_upto", basis_upto)
+    outs = [run(capsys, "basis", *argv) for argv in argvs]
+    armed.clear()
+    table = real(cli.load_presentation(INHOMOG), 4, slack=0)
+    armed.append(True)
+    text = table.to_json()
+    monkeypatch.undo()
+    assert outs == [run(capsys, "basis", *argv) for argv in argvs]
+    assert all(code == 0 and out for code, out, _ in outs)
+    assert text == presentation.canonical_json({
+        "mode": DIALGEBRA, "degree_bound": 4, "homogeneous": False, "slack": 0,
+        "basis": [m.format() for m in table.basis],
+        "pivots": [m.format() for m in table.pivots],
+    })
+
+
+def test_prefix_suffix_warning_counts_distinct_monomials(capsys, tmp_path):
+    path = tmp_path / "truncated.dpres"
+    path.write_text("generators a b\nrel [b]@1 - [a a a]@2 + [a a a]@1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--max-degree", "3", "--slack", "0",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    violations = payload["prefix_suffix"]["violations"]
+    # a monomial with a prefix and a suffix violation is one monomial
+    assert len(violations) == 24 and len({v[0] for v in violations}) == 22
+    assert "WARN prefix/suffix truncation artifacts: 22 monomials" in payload["lines"]
+    code, out, _ = run(capsys, "verify", str(path), "--max-degree", "3", "--slack", "0")
+    assert "WARN prefix/suffix truncation artifacts: 22 monomials" in out.splitlines()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,6 +1,7 @@
 """Elements: linear algebra over Q and GF(p), bilinear products, axioms."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from digrow.element import (
     DiElement,
     PrimeField,
     _is_prime,
+    _sum_terms,
     axiom_residuals,
     parse_element,
     parse_field,
@@ -36,13 +38,13 @@ def D(text, alphabet=AB):
 #### strategies
 
 @st.composite
-def elements(draw, field=QQ, alphabet=ABC, max_len=3, max_terms=3):
+def elements(draw, field=QQ, alphabet=ABC, max_len=3, max_terms=3, coeffs=st.integers(-5, 5)):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         length = draw(st.integers(1, max_len))
         word = bytes(draw(st.integers(0, alphabet.size - 1)) for _ in range(length))
         middle = draw(st.integers(1, length))
-        terms[Disequence(alphabet, word, middle)] = field.coerce(draw(st.integers(-5, 5)))
+        terms[Disequence(alphabet, word, middle)] = field.coerce(draw(coeffs))
     return DiElement(alphabet, field, terms)
 
 
@@ -92,6 +94,37 @@ def test_module_laws(xy, r, s):
     assert x - x == DiElement.zero(x.alphabet, x.field)
 
 
+POOL = [Disequence(AB, w, 1) for w in (b"\0", b"\1", b"\0\1", b"\1\0")]
+
+
+@given(st.sampled_from(FIELDS), st.lists(st.tuples(st.integers(0, 3), scalars), max_size=12),
+       st.data())
+def test_sum_terms_matches_naive_sum(field, raw, data):
+    # four monomials make repeats likely; negated copies make cancellations
+    pairs = [(POOL[i], field.coerce(c)) for i, c in raw]
+    if pairs:
+        pairs += [(m, -c) for m, c in data.draw(st.lists(st.sampled_from(pairs)))]
+    want = {}
+    for m, c in pairs:
+        want[m] = field.coerce(want.get(m, field.zero) + c)
+    got = _sum_terms(pairs, field)
+    assert list(got.items()) == [(m, c) for m, c in want.items() if c]
+    if field.p:
+        assert all(type(c) is int and 0 < c < field.p for c in got.values())
+    else:
+        assert all(type(c) is Fraction for c in got.values())
+
+
+def test_sum_terms_examples():
+    a, b = POOL[:2]
+    half = Fraction(1, 2)
+    assert _sum_terms([(a, half), (b, Fraction(3)), (a, -half)], QQ) == {b: 3}
+    assert _sum_terms([(a, half)], QQ)[a] is half  # a first coefficient is kept as it is
+    assert _sum_terms([(a, 5), (b, 6), (a, -5), (b, 3)], PrimeField(7)) == {b: 2}
+    assert _sum_terms([(a, -1)], PrimeField(7)) == {a: 6}
+    assert _sum_terms([], QQ) == {}
+
+
 # ===== products ============================================================
 
 
@@ -128,6 +161,40 @@ def test_bilinearity(xyz, r):
 def test_axiom_residuals_vanish_on_free_elements(xyz):
     x, y, z = xyz
     assert all(r.is_zero for r in axiom_residuals(x, y, z))
+
+
+def _twisted_products():
+    """Patch DiElement's products with bilinear ones that break every
+    identity: on uv of length t, -| puts the middle at (mid(u) + 2 mid(v))
+    mod t + 1 and |- at (2 mid(u) + mid(v)) mod t + 1.  Residuals are then
+    nonzero, so comparing them checks which products feed which residual."""
+    def twist(a, b):
+        def mono(u, v):
+            word = u.word + v.word
+            return Disequence(u.alphabet, word, (a * u.middle + b * v.middle) % len(word) + 1)
+
+        return lambda self, other: self._product(other, mono)
+
+    return (patch.object(DiElement, "rprod", twist(1, 2)),
+            patch.object(DiElement, "lprod", twist(2, 1)))
+
+
+@given(st.sampled_from((QQ, PrimeField(7))).flatmap(
+    lambda f: st.tuples(*(elements(f, max_len=2, coeffs=scalars) for _ in range(3)))))
+def test_axiom_residuals_match_twenty_products(xyz):
+    from oracle import o_axiom_residuals
+
+    rp, lp = _twisted_products()
+    with rp, lp:
+        got, want = axiom_residuals(*xyz), o_axiom_residuals(*xyz)
+    assert [r.terms for r in got] == [r.terms for r in want]
+
+
+def test_twisted_products_break_every_identity():
+    x, y, z = E("[a]@1 + 1/2*[b]@1"), E("[a b]@2"), E("[b a]@1")
+    rp, lp = _twisted_products()
+    with rp, lp:
+        assert all(not r.is_zero for r in axiom_residuals(x, y, z))
 
 
 def test_axiom_residuals_monomial_triple():

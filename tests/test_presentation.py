@@ -692,6 +692,42 @@ def test_key_level_checks_match_reference(pres, slack, n):
     assert special_basis_check(td).m == o_middle_bound(table_as_oracle(td), n)
 
 
+NAMES = (("a", "b", "c"), ("x", "y1", "z_2"))
+
+
+def renamed(pres, names):
+    """pres over the first generators of names, words and coefficients kept."""
+    alphabet = Alphabet(names[: pres.alphabet.size])
+    relators = tuple(
+        DiElement(alphabet, pres.field,
+                  {Disequence(alphabet, m.word, m.middle): c for m, c in r.terms.items()})
+        for r in pres.relators
+    )
+    return Presentation(alphabet, pres.field, relators, pres.schemes, pres.slack)
+
+
+@given(
+    st.one_of(binomial_presentations(), non_binomial_presentations(),
+              truncated_presentations()),
+    st.sampled_from(NAMES),
+    st.sampled_from([DIALGEBRA, ASSOCIATIVE]),
+    st.sampled_from([0, None]),
+    st.integers(1, 4),
+)
+def test_literals_match_monomial_format(pres, names, mode, slack, n):
+    table = basis_upto(renamed(pres, names), n, mode, slack=slack)
+    assert table._literals(table._basis_keys()) == [m.format() for m in table.basis]
+    assert table._literals(sorted(table._rows)) == [m.format() for m in table.pivots]
+
+
+def test_literals_skip_lengths_without_keys():
+    table = basis_upto(Presentation(Alphabet.of("x", "y1", "z_2"), QQ), 3)
+    keys = table._keys
+    picked = [keys.offset(3), keys.offset(3) + 31, keys.offset(4) - 1]
+    assert table._literals(picked) == ["[x x x]@1", "[x y1 y1]@2", "[z_2 z_2 z_2]@3"]
+    assert table._literals([]) == []
+
+
 # ===== caps and determinism ================================================
 
 

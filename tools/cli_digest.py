@@ -12,7 +12,11 @@ Runs `digrow.cli.main` in process on
   also with --slack overrides;
 - nf --format json per fixture and mode, verify on inhomog_ab at n = 2
   with --slack 0 (prefix/suffix violations), the three exit-3 refusals
-  (degree cap, universe cap, materialize cap) and one --out call per verb.
+  (degree cap, universe cap, materialize cap) and one --out call per verb;
+- basis literals: comm_ab at n = 8 and a seeded presentation over the
+  multi-character generators x y1 z_2 with idrel lcomm at n = 4, both in
+  both modes x text/json, and inhomog_ab at n = 6 in text/json with the
+  default slack and with --slack 0.
 
 Every call adds its argv, exit code, stdout and stderr to one sha256, with
 input paths replaced by a placeholder (`verify --format json` echoes the
@@ -69,9 +73,17 @@ def generated(rng, field: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def calls(rng, files: list[str], out: str):
-    """The argv lists of the matrix; files are the generated presentations
-    and out is the path the --out calls write to."""
+def named(rng) -> str:
+    """A seeded presentation over multi-character generator names."""
+    names = ("x", "y1", "z_2")
+    return (f"generators {' '.join(names)}\n"
+            f"rel {literal(rng, names, rng.randint(2, 3), 3, False)}\nidrel lcomm\n")
+
+
+def calls(rng, files: list[str], named_path: str, out: str):
+    """The argv lists of the matrix; files are the generated presentations,
+    named_path the presentation over multi-character names, and out is the
+    path the --out calls write to."""
     for name in FIXTURES:
         path = fixture_path(name)
         for verb in ("basis", "growth", "gk"):
@@ -118,6 +130,13 @@ def calls(rng, files: list[str], out: str):
     for verb in ("nf", "basis", "growth", "gk", "verify"):
         extra = ["--expr=[a b]@2 - 2*[b a]@1"] if verb == "nf" else []
         yield [verb, inhomog, "--max-degree", "5", "--format", "json", "--out", out, *extra]
+    for path, n in ((comm, "8"), (named_path, "4")):
+        for mode in MODES:
+            for fmt in ("text", "json"):
+                yield ["basis", path, "--max-degree", n, "--mode", mode, "--format", fmt]
+    for slack in ([], ["--slack", "0"]):
+        for fmt in ("text", "json"):
+            yield ["basis", inhomog, "--max-degree", "6", "--format", fmt, *slack]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -142,8 +161,12 @@ def main(argv=None) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(generated(rng, field))
             files.append(path)
+        # its own generator, so the records of the calls before it keep their bytes
+        named_path = os.path.join(tmp, "named.dpres")
+        with open(named_path, "w", encoding="utf-8") as fh:
+            fh.write(named(random.Random(f"named-{args.seed}")))
         out_path = os.path.join(tmp, "out.txt")
-        for call in calls(rng, files, out_path):
+        for call in calls(rng, files, named_path, out_path):
             code, out, err = run(call)
             path = call[1]
             shown = " ".join(OUT_PLACEHOLDER if a == out_path else PLACEHOLDER if a == path
