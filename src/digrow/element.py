@@ -207,10 +207,6 @@ class DiElement:
     def max_length(self) -> int:
         return max((len(m.word) for m in self.terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        lengths = {len(m.word) for m in self.terms}
-        return len(lengths) <= 1
-
     # -- ring-ish operations --------------------------------------------------
 
     def _summed(self, pairs) -> "DiElement":

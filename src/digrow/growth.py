@@ -12,7 +12,8 @@ generating-set condition, and the three two-variable product identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from statistics import linear_regression
 
 from .presentation import (
@@ -49,47 +50,33 @@ SUPERPOLYNOMIAL = "superpolynomial"
 
 @dataclass(frozen=True)
 class GrowthSeries:
-    """Per-degree and cumulative basis counts for degrees 1..N."""
+    """Per-degree basis counts for degrees 1..N; cumulative holds their
+    running sums."""
 
     per_degree: tuple[int, ...]
-    cumulative: tuple[int, ...]
-    mode: str
-    fingerprint: str
+    mode: str = DIALGEBRA
+    fingerprint: str = "synthetic"
     exact: bool = True
     warnings: tuple[str, ...] = ()
+    cumulative: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        per, cum = self.per_degree, self.cumulative
-        if len(per) != len(cum) or not per:
+        per = tuple(self.per_degree)
+        if not per:
             raise ValueError("per-degree and cumulative lengths must match and be nonempty")
-        run = 0
-        for t, (p, c) in enumerate(zip(per, cum), start=1):
+        for t, p in enumerate(per, start=1):
             if p < 0:
                 raise ValueError(f"negative count at degree {t}")
-            run += p
-            if c != run:
-                raise ValueError(f"cumulative mismatch at degree {t}")
-
-    @classmethod
-    def from_per_degree(cls, per_degree, mode=DIALGEBRA, fingerprint="synthetic",
-                        exact=True, warnings=()):
-        per = tuple(per_degree)
-        cum, run = [], 0
-        for p in per:
-            run += p
-            cum.append(run)
-        return cls(per, tuple(cum), mode, fingerprint, exact, tuple(warnings))
+        object.__setattr__(self, "per_degree", per)
+        object.__setattr__(self, "warnings", tuple(self.warnings))
+        object.__setattr__(self, "cumulative", tuple(accumulate(per)))
 
     @classmethod
     def from_cumulative(cls, cumulative, mode=DIALGEBRA, fingerprint="synthetic",
                         exact=True, warnings=()):
         cum = tuple(cumulative)
-        prev = 0
-        per = []
-        for c in cum:
-            per.append(c - prev)
-            prev = c
-        return cls(tuple(per), cum, mode, fingerprint, exact, tuple(warnings))
+        per = [c - prev for prev, c in zip((0, *cum), cum)]
+        return cls(per, mode, fingerprint, exact, warnings)
 
     @classmethod
     def from_table(cls, table: BasisTable) -> GrowthSeries:
@@ -99,9 +86,7 @@ class GrowthSeries:
             warnings = (
                 f"approximate: lower-bound ideal / upper-bound basis (slack {table.slack})",
             )
-        return cls.from_per_degree(
-            table.counts_by_degree(), table.mode, table.fingerprint, table.exact, warnings
-        )
+        return cls(table.counts_by_degree(), table.mode, table.fingerprint, table.exact, warnings)
 
     @property
     def degree_bound(self) -> int:
@@ -228,9 +213,9 @@ def _doubling_exceeds(cum, slope: float) -> bool:
     least a quarter of the available doubling pairs.
     """
     N = len(cum)
-    threshold = 2.0 ** (slope + 1.0)
+    # in logs, so that no count, which may pass 2**1024, becomes a float
     flags = [
-        cum[2 * n - 1] > threshold * cum[n - 1]
+        math.log2(cum[2 * n - 1]) - math.log2(cum[n - 1]) > slope + 1.0
         for n in range(2, N // 2 + 1)
         if cum[n - 1] > 0
     ]

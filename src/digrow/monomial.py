@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import total_ordering
 from itertools import product as _cartesian
 
 from .errors import AlphabetMismatch
@@ -58,6 +59,7 @@ class Alphabet:
         return hash(self.names)
 
 
+@total_ordering
 class Disequence:
     """Immutable word-with-middle [a_1 ... a_t]@m over an Alphabet.
 
@@ -111,27 +113,13 @@ class Disequence:
     def __hash__(self):
         return hash((self.word, self.middle))
 
-    def _cmp_guard(self, other):
+    def __lt__(self, other):
+        # total_ordering derives <=, > and >= from this, guard included
         if not isinstance(other, Disequence):
             raise TypeError(f"cannot compare Disequence with {type(other).__name__}")
         if self.alphabet != other.alphabet:
             raise AlphabetMismatch("comparison across alphabets")
-
-    def __lt__(self, other):
-        self._cmp_guard(other)
         return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        self._cmp_guard(other)
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other):
-        self._cmp_guard(other)
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other):
-        self._cmp_guard(other)
-        return self.sort_key() >= other.sort_key()
 
 
 def _same_alphabet(u: Disequence, v: Disequence) -> Alphabet:
@@ -169,32 +157,6 @@ def monomials(alphabet: Alphabet, length: int, associative: bool = False):
             yield Disequence(alphabet, w, m)
 
 
-_DIGITS = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
-
-
-def _word_value(word: bytes, k: int) -> int:
-    """The word read in base k, with no per-letter Python loop for k <= 36."""
-    if k == 1:
-        return 0
-    if k <= 36:
-        return int(word.translate(_DIGITS), k)
-    value = 0
-    for b in word:
-        value = value * k + b
-    return value
-
-
-def position(m: Disequence) -> int:
-    """The index at which monomials(m.alphabet, len(m.word), ...) yields m.
-
-    That is (middle - 1) * k**t + the word read in base k, so position order
-    is monomial order within one length.  Associative mode yields middle 1
-    only, so the same formula indexes both modes.
-    """
-    k = m.alphabet.size
-    return (m.middle - 1) * k ** len(m.word) + _word_value(m.word, k)
-
-
 def universe_count(alphabet_size: int, length: int, associative: bool = False) -> int:
     """How many monomials of one length exist: t*k^t, or k^t with middles pinned."""
     n = alphabet_size**length
@@ -215,10 +177,12 @@ def universe_total(alphabet_size: int, cap: int, associative: bool = False) -> i
 class KeyCodec:
     """One int key per monomial of length 1..cap in one mode.
 
-    key = offset(t) + position(m) for m of length t, where offset(t) counts
-    the monomials shorter than t.  So key order is monomial order across
-    lengths, and the keys of length t run consecutively from offset(t) in
-    the order monomials() yields them.  A key splits into (length, middle,
+    key = offset(t) + (middle - 1) * k**t + the word read in base k, for m
+    of length t over k letters, where offset(t) counts the monomials
+    shorter than t.  So key order is monomial order across lengths, and the
+    keys of length t run consecutively from offset(t) in the order
+    monomials() yields them; associative mode has middle 1 only, so the
+    same layout serves both modes.  A key splits into (length, middle,
     word value); products with single generators are affine maps of keys.
     """
 
@@ -249,7 +213,10 @@ class KeyCodec:
         return t, m0 + 1, w
 
     def encode(self, m: Disequence) -> int:
-        return self._off[len(m.word)] + position(m)
+        k, t, w = self._k, len(m.word), 0
+        for b in m.word:
+            w = w * k + b
+        return self._off[t] + (m.middle - 1) * self._pow[t] + w
 
     def decode(self, key: int) -> Disequence:
         t, middle, w = self.split(key)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .element import DiElement, QQ, _sum_terms
+from .element import DiElement, QQ
 from .errors import (
     AlphabetMismatch,
     DegreeBoundExceeded,
@@ -155,7 +155,7 @@ class Presentation:
     @property
     def homogeneous(self) -> bool:
         """True when every relator is length-homogeneous (schemes always are)."""
-        return all(r.is_homogeneous() for r in self.relators)
+        return self.length_spread() == 0
 
     def length_spread(self) -> int:
         """Largest gap between term lengths inside one relator."""
@@ -184,7 +184,7 @@ def collapse_middle(x: DiElement) -> DiElement:
         (m if m.middle == 1 else Disequence(m.alphabet, m.word, 1), c)
         for m, c in x.terms.items()
     )
-    return DiElement(x.alphabet, x.field, _sum_terms(pairs, x.field), _clean=True)
+    return x._summed(pairs)
 
 
 def associated_associative(pres: Presentation) -> Presentation:
@@ -226,7 +226,7 @@ def _effective_slack(q: Presentation, explicit: int | None) -> int:
 # gcd(d, *tail.values()) == 1; over GF(p) d == 1 and the entries lie in
 # [0, p).  Every killed monomial shares the row _KILLED.  Coefficients
 # become Fraction or residue only at the edges: the inputs in
-# _integer_terms, the outputs in _coefficient.
+# _integer_terms, the outputs in _element.
 
 _KILLED = (1, MappingProxyType({}))
 
@@ -241,11 +241,6 @@ def _integer_terms(terms, p: int, encode) -> tuple[int, list]:
     terms = list(terms)
     L = lcm(*(c.denominator for _, c in terms))
     return L, [(encode(m), c.numerator * (L // c.denominator)) for m, c in terms]
-
-
-def _coefficient(c: int, den: int, p: int):
-    """The field value of c/den, for a kernel result over scale den."""
-    return c if p else Fraction(c, den)
 
 
 def _reduce_terms(terms, rows: dict, p: int) -> tuple[int, dict]:
@@ -352,13 +347,14 @@ def _insert_row(rows: dict, users: dict, nf: dict, p: int):
     return piv
 
 
-def _row_element(keys: KeyCodec, field, p: int, piv: int, row: tuple) -> DiElement:
-    """The kernel row piv + tail/d as an element."""
-    d, tail = row
-    decode = keys.decode
-    terms = {decode(m): _coefficient(c, d, p) for m, c in tail.items()}
-    terms[decode(piv)] = field.one
-    return DiElement(keys.alphabet, field, terms, _clean=True)
+def _element(keys: KeyCodec, field, terms: dict, den: int) -> DiElement:
+    """The element of a kernel result {key: c} over scale den: c/den over
+    Q, the residue c itself over GF(p).  The row piv + tail/d is
+    _element(keys, field, {**tail, piv: d}, d)."""
+    p, decode = field.p, keys.decode
+    return DiElement(keys.alphabet, field,
+                     {decode(m): c if p else Fraction(c, den) for m, c in terms.items()},
+                     _clean=True)
 
 
 # ===== saturation ==========================================================
@@ -577,10 +573,10 @@ class BasisTable:
     @property
     def rows(self) -> dict:
         if self._row_elements is None:
-            keys, rows, p = self._keys, self._rows, self.field.p
+            keys, field = self._keys, self.field
             self._row_elements = {
-                keys.decode(piv): _row_element(keys, self.field, p, piv, rows[piv])
-                for piv in sorted(rows)
+                keys.decode(piv): _element(keys, field, {**tail, piv: d}, d)
+                for piv, (d, tail) in sorted(self._rows.items())
             }
         return self._row_elements
 
@@ -698,16 +694,24 @@ def basis_upto(
     eff = _effective_slack(q, slack)
     cap = n + eff
     saturate = bool(q.relators or q.schemes)
+    # checked before the KeyCodec is built: it holds O(cap**2) bits
+    total = universe_total(q.alphabet.size, cap, associative)
     if saturate:
         if max_universe is None:
             max_universe = DEFAULT_UNIVERSE_CAP
-        # checked before the KeyCodec is built: it holds O(cap**2) bits
-        total = universe_total(q.alphabet.size, cap, associative)
         if total > max_universe:
             raise ResourceCapExceeded(
                 f"elimination up to degree {cap} would touch {_count_text(total)} "
                 f"monomials (cap {max_universe}); lower the degree or raise the cap"
             )
+    try:
+        str(total)
+    except ValueError:
+        # no count of such a table could be printed
+        raise ResourceCapExceeded(
+            f"a table up to degree {cap} would hold {_count_text(total)} monomials, "
+            f"more digits than Python converts to a string; lower the degree"
+        ) from None
     keys = KeyCodec(q.alphabet, cap, associative)
     rows = {}
     if saturate:
@@ -760,10 +764,7 @@ def normal_form(x: DiElement, table: BasisTable) -> DiElement:
     keys, p = table._keys, table.field.p
     L, terms = _integer_terms(x.terms.items(), p, keys.encode)
     L2, nf = table._reduce(terms)
-    L *= L2
-    return DiElement(x.alphabet, x.field,
-                     {keys.decode(m): _coefficient(c, L, p) for m, c in nf.items()},
-                     _clean=True)
+    return _element(keys, x.field, nf, L * L2)
 
 
 # ===== structural check: prefixes and suffixes =============================

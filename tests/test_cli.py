@@ -456,6 +456,16 @@ def test_saturation_universe_cap_exits_3(capsys):
     assert err.startswith("digrow: resource cap: elimination up to degree 20000 ")
 
 
+def test_unprintable_relator_free_table_exits_3(capsys):
+    # no relator, so no universe cap: the counts would pass str()'s digit limit
+    code, out, err = run(capsys, "growth", FREE_AB, "--mode", "assoc", "--max-degree", "20000",
+                         "--format", "csv")
+    assert code == 3 and out == ""
+    assert err == ("digrow: resource cap: a table up to degree 20000 would hold at least "
+                   "2**20000 monomials, more digits than Python converts to a string; "
+                   "lower the degree\n")
+
+
 def test_csv_rejected_before_any_work(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("saturated before rejecting --format csv")

@@ -230,8 +230,6 @@ def test_support_is_descending():
     assert E("[a]@1 - [a b a]@2").support() == [D("[a b a]@2"), D("[a]@1")]
     assert E("0").support() == []
     assert x.max_length() == 2
-    assert x.is_homogeneous() is False
-    assert E("[a b]@1 - [b a]@2").is_homogeneous() is True
 
 
 # ===== fields ==============================================================

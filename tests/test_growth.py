@@ -6,6 +6,7 @@ from tests/oracle.py.
 """
 
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,8 +45,8 @@ def series_of(cum, mode=DIALGEBRA, **kw):
 
 
 def test_series_construction_and_accessors():
-    s = GrowthSeries.from_per_degree([1, 2, 3])
-    assert s.cumulative == (1, 3, 6)
+    s = GrowthSeries([1, 2, 3])
+    assert s.per_degree == (1, 2, 3) and s.cumulative == (1, 3, 6)
     assert s.count(2) == 2 and s.cumulative_at(3) == 6
     assert s.degree_bound == 3
     t = series_of([1, 3, 6])
@@ -53,18 +54,26 @@ def test_series_construction_and_accessors():
 
 
 def test_series_validation():
-    with pytest.raises(ValueError):
-        GrowthSeries((1, 2), (1,), DIALGEBRA, "x")
-    with pytest.raises(ValueError):
-        GrowthSeries((1, 2), (1, 2), DIALGEBRA, "x")  # cumulative mismatch
-    with pytest.raises(ValueError):
-        GrowthSeries((), (), DIALGEBRA, "x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
+        GrowthSeries((), DIALGEBRA, "x")
+    with pytest.raises(ValueError, match="nonempty"):
+        series_of([])
+    with pytest.raises(ValueError, match="negative count at degree 2"):
+        GrowthSeries((1, -1), DIALGEBRA, "x")
+    with pytest.raises(ValueError, match="negative count at degree 2"):
         series_of([2, 1])  # decreasing cumulative = negative count
 
 
+@given(st.lists(st.integers(0, 2**70), min_size=1, max_size=30))
+def test_series_derives_cumulative(per):
+    s = GrowthSeries(per)
+    assert s.per_degree == tuple(per)
+    assert s.cumulative == tuple(accumulate(per))
+    assert GrowthSeries.from_cumulative(s.cumulative) == s
+
+
 def test_series_json_and_csv_shapes():
-    s = GrowthSeries.from_per_degree([1, 2], fingerprint="abc")
+    s = GrowthSeries([1, 2], fingerprint="abc")
     d = s.to_json_dict()
     assert d["per_degree"] == [1, 2] and d["cumulative"] == [1, 3]
     assert d["mode"] == DIALGEBRA and d["fingerprint"] == "abc"
@@ -169,7 +178,7 @@ def test_linear_series_slope():
     # affine-ish shapes from the single-generator fixtures
     est = gk_estimate(series_of([2 * n - 1 for n in range(1, 257)]), (64, 256))
     assert 0.95 <= est.slope <= 1.05  # measured 1.0039
-    est = gk_estimate(GrowthSeries.from_per_degree([1, 2] + [1] * 254), (64, 256))
+    est = gk_estimate(GrowthSeries([1, 2] + [1] * 254), (64, 256))
     assert 0.95 <= est.slope <= 1.05  # measured 0.9924
 
 
@@ -185,6 +194,14 @@ def test_exponential_series_is_superpolynomial(window):
     lo, hi = window
     cum = [2 ** (n + 1) - 2 for n in range(1, hi + 1)]
     est = gk_estimate(series_of(cum), window)
+    assert est.classification == SUPERPOLYNOMIAL
+    assert est.degree is None
+
+
+@pytest.mark.parametrize("N", [1200, 2100])
+def test_doubling_counts_past_float_range_are_superpolynomial(N):
+    # 2**t counts pass 2**1024, beyond any float, near the end of the series
+    est = gk_estimate(GrowthSeries([2**t for t in range(1, N + 1)]))
     assert est.classification == SUPERPOLYNOMIAL
     assert est.degree is None
 
@@ -256,7 +273,7 @@ def test_gap_check_ignores_unstable_or_outside_fits():
         max(1, round(1.5 * math.sqrt(n) * (2.5 if (n // 16) % 2 else 0.4)))
         for n in range(1, 257)
     ]
-    noisy = gk_estimate(GrowthSeries.from_per_degree(per))
+    noisy = gk_estimate(GrowthSeries(per))
     assert noisy.classification == POLYNOMIAL
     assert GAP_BAND[0] < noisy.slope < GAP_BAND[1]
     assert noisy.residual > STABLE_RESIDUAL
@@ -444,7 +461,7 @@ def test_fixture_estimates_land_where_frozen():
 
 @given(st.lists(st.integers(0, 5), min_size=2, max_size=40))
 def test_estimator_total_on_arbitrary_series(per):
-    series = GrowthSeries.from_per_degree(per)
+    series = GrowthSeries(per)
     if series.degree_bound < 3:
         return
     est = gk_estimate(series)

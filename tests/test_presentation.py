@@ -35,7 +35,7 @@ from digrow.presentation import (
     _integer_terms,
     _key_scheme_pair,
     _reduce_terms,
-    _row_element,
+    _element,
     associated_associative,
     basis_upto,
     collapse_middle,
@@ -101,6 +101,9 @@ def test_homogeneity_and_spread():
     comm = Presentation(AB, QQ, (), ("lcomm", "rcomm"))
     assert comm.homogeneous
     assert comm.length_spread() == 0
+    mixed = Presentation(AB, QQ, (E("[a]@1 + [b a]@2 + 2*[a b]@1"), E("[a b]@1 - [b a]@2")))
+    assert not mixed.homogeneous and mixed.length_spread() == 1
+    assert Presentation(AB, QQ, (E("[a b]@1 - [b a]@2"), E("[a]@1"))).homogeneous
 
 
 def test_slack_policy():
@@ -168,7 +171,8 @@ def echelon(elements):
         _, nf = _reduce_terms(_integer_terms(x.terms.items(), 0, keys.encode)[1], rows, 0)
         if nf:
             _insert_row(rows, users, nf, 0)
-    return rows, [_row_element(keys, QQ, 0, piv, rows[piv]) for piv in sorted(rows, reverse=True)]
+    return rows, [_element(keys, QQ, {**tail, piv: d}, d)
+                  for piv, (d, tail) in sorted(rows.items(), reverse=True)]
 
 
 def test_echelonize_examples():

@@ -16,7 +16,10 @@ Runs `digrow.cli.main` in process on
 - basis literals: comm_ab at n = 8 and a seeded presentation over the
   multi-character generators x y1 z_2 with idrel lcomm at n = 4, both in
   both modes x text/json, and inhomog_ab at n = 6 in text/json with the
-  default slack and with --slack 0.
+  default slack and with --slack 0;
+- counts past float range: gk free_ab --mode assoc at n = 1200 and 2100,
+  and the exit-3 refusal of growth free_ab --mode assoc at n = 20000
+  (csv), whose counts have more digits than str() converts.
 
 Every call adds its argv, exit code, stdout and stderr to one sha256, with
 input paths replaced by a placeholder (`verify --format json` echoes the
@@ -137,6 +140,9 @@ def calls(rng, files: list[str], named_path: str, out: str):
     for slack in ([], ["--slack", "0"]):
         for fmt in ("text", "json"):
             yield ["basis", inhomog, "--max-degree", "6", "--format", fmt, *slack]
+    for n in ("1200", "2100"):
+        yield ["gk", free, "--mode", "assoc", "--max-degree", n]
+    yield ["growth", free, "--mode", "assoc", "--max-degree", "20000", "--format", "csv"]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
