@@ -25,6 +25,7 @@ from .presentation import (
     _key_scheme_pair,
     basis_upto,
     canonical_json,
+    json_fields,
     normal_form,  # unused here; perfbench/traced.py wraps growth.normal_form
 )
 
@@ -63,7 +64,7 @@ class GrowthSeries:
     def __post_init__(self):
         per = tuple(self.per_degree)
         if not per:
-            raise ValueError("per-degree and cumulative lengths must match and be nonempty")
+            raise ValueError("per-degree counts must be nonempty")
         for t, p in enumerate(per, start=1):
             if p < 0:
                 raise ValueError(f"negative count at degree {t}")
@@ -107,15 +108,7 @@ class GrowthSeries:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "fingerprint": self.fingerprint,
-            "degree_bound": self.degree_bound,
-            "per_degree": list(self.per_degree),
-            "cumulative": list(self.cumulative),
-            "exact": self.exact,
-            "warnings": list(self.warnings),
-        }
+        return json_fields(self, "degree_bound")
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
@@ -143,15 +136,7 @@ class GkEstimate:
     fingerprint: str = "synthetic"
 
     def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "window": list(self.window),
-            "classification": self.classification,
-            "degree": self.degree,
-            "residual": self.residual,
-            "mode": self.mode,
-            "fingerprint": self.fingerprint,
-        }
+        return json_fields(self)
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
@@ -250,12 +235,7 @@ class TheoremAReport:
         return self.violation is not None and not self.truncated
 
     def to_json_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "violation": self.violation,
-            "truncated": self.truncated,
-            "ok": self.ok,
-        }
+        return json_fields(self, "ok")
 
 
 def theorem_a_check(series_d: GrowthSeries, series_a: GrowthSeries,
@@ -298,7 +278,7 @@ class GapReport:
         return not self.anomalies
 
     def to_json_dict(self) -> dict:
-        return {"anomalies": [list(a) for a in self.anomalies], "ok": self.ok}
+        return json_fields(self, "ok")
 
 
 def gap_check(estimates) -> GapReport:
@@ -339,12 +319,7 @@ class SpecialBasisReport:
         return self.m is not None
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "degree_bound": self.degree_bound,
-            "found": self.found,
-            "prediction": self.prediction,
-        }
+        return json_fields(self, "found")
 
 
 def special_basis_check(table_d: BasisTable) -> SpecialBasisReport:
@@ -390,13 +365,9 @@ class IdentityClassReport:
     exhaustive: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "holds": dict(self.holds),
-            "witnesses": {k: v for k, v in self.witnesses.items()},
-            "verified_degree": self.verified_degree,
-            "pairs_checked": self.pairs_checked,
-            "predictions": list(self.predictions),
-        }
+        out = json_fields(self)
+        del out["exhaustive"]  # the text output reports it as a WARN line
+        return out
 
 
 def identity_class_check(pres: Presentation, table_d: BasisTable) -> IdentityClassReport:
@@ -422,33 +393,28 @@ def identity_class_check(pres: Presentation, table_d: BasisTable) -> IdentityCla
     pairs_checked = 0
     exhaustive = True
 
+    def pairs(reflexive):
+        for i, (l1, _, _) in enumerate(split):
+            for j in range(i if reflexive else i + 1, len(split)):
+                # the basis ascends by length, so no later v fits either
+                if l1 + split[j][0] > n:
+                    break
+                yield i, j
+
     for tag in SCHEME_TAGS:
         seen = 0
-        done = False
-        for i, u in enumerate(split):
-            if done:
+        # the cross identity is not symmetric in (u, v); include u = v
+        for i, j in pairs(tag == "cross"):
+            if seen >= MAX_IDENTITY_PAIRS:
+                exhaustive = False
                 break
-            # the cross identity is not symmetric in (u, v); include u = v
-            start = i if tag == "cross" else i + 1
-            # the basis ascends by length, so no later v fits either
-            for j in range(start, len(split)):
-                v = split[j]
-                if u[0] + v[0] > n:
-                    break
-                if seen >= MAX_IDENTITY_PAIRS:
-                    exhaustive = False
-                    done = True
-                    break
-                seen += 1
-                m1, m2 = _key_scheme_pair(keys, tag, u, v)
-                if m1 == m2:
-                    continue
-                if table_d._reduce(((m1, 1), (m2, -1)))[1]:
-                    holds[tag] = False
-                    u_mono, v_mono = keys.decode(basis[i]), keys.decode(basis[j])
-                    witnesses[tag] = f"{u_mono.format()}, {v_mono.format()}"
-                    done = True
-                    break
+            seen += 1
+            m1, m2 = _key_scheme_pair(keys, tag, split[i], split[j])
+            if m1 != m2 and table_d._reduce(((m1, 1), (m2, -1)))[1]:
+                holds[tag] = False
+                u_mono, v_mono = keys.decode(basis[i]), keys.decode(basis[j])
+                witnesses[tag] = f"{u_mono.format()}, {v_mono.format()}"
+                break
         pairs_checked += seen
 
     if not exhaustive or not pairs_checked:

@@ -75,7 +75,7 @@ class Disequence:
             raise ValueError("empty word")
         if not 1 <= middle <= len(word):
             raise ValueError(f"middle {middle} out of range for length {len(word)}")
-        if word and max(word) >= alphabet.size:
+        if max(word) >= alphabet.size:
             raise ValueError("letter rank outside alphabet")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "word", word)
@@ -222,9 +222,8 @@ class KeyCodec:
         t, middle, w = self.split(key)
         k = self._k
         word = bytearray(t)
-        if k > 1:
-            for i in range(t - 1, -1, -1):
-                w, word[i] = divmod(w, k)
+        for i in range(t - 1, -1, -1):
+            w, word[i] = divmod(w, k)
         return Disequence(self.alphabet, bytes(word), middle)
 
     def lprod(self, u: tuple, v: tuple) -> int:

@@ -23,7 +23,7 @@ import gc
 import hashlib
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -35,7 +35,8 @@ from .errors import (
     FieldMismatch,
     ResourceCapExceeded,
 )
-from .monomial import Alphabet, Disequence, KeyCodec, monomials, universe_total
+from .monomial import Alphabet, Disequence, KeyCodec, universe_total
+from .monomial import monomials  # unused here; perfbench/traced.py wraps presentation.monomials
 
 DIALGEBRA = "dialgebra"
 ASSOCIATIVE = "associative"
@@ -68,6 +69,21 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def json_fields(obj, *computed) -> dict:
+    """The dataclass fields of obj, then the properties named in computed,
+    as JSON writes them: tuples become lists, at any depth."""
+
+    def plain(v):
+        if isinstance(v, tuple | list):
+            return [plain(x) for x in v]
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v
+
+    names = [f.name for f in fields(obj)] + list(computed)
+    return {name: plain(getattr(obj, name)) for name in names}
+
+
 def _key_scheme_pair(keys: KeyCodec, tag: str, u: tuple, v: tuple) -> tuple[int, int]:
     """The keys (m1, m2) that the identity scheme tag equates on the split
     keys (u, v) (see KeyCodec.split): lcomm is u |- v = v |- u, rcomm is
@@ -95,8 +111,6 @@ def _scheme_instances(schemes, keys: KeyCodec, total: int, basis: dict):
     elements the closure already spans.  The same argument lets
     basis[length] be a superset of the final basis.
     """
-    if total < 2 or not schemes:
-        return
     # associative mode reads every scheme as plain commutativity
     tags = ("rcomm",) if keys.associative else [t for t in schemes if t != "cross"]
     for l1 in range(1, total // 2 + 1):
@@ -518,6 +532,7 @@ def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
 # ===== basis tables ========================================================
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class BasisTable:
     """Echelonized view of a presentation up to a degree bound.
 
@@ -529,38 +544,21 @@ class BasisTable:
     _reduce_terms) and decoded to Disequence and field values only when
     read.  Only this module reads the kernel rows; the verify checks work on
     keys through _basis_keys and _reduce and decode only what they print.
-    The basis and pivot literals of to_json_dict and the basis verb are
-    formatted from keys by _literals, so the Disequence lists basis and
-    pivots are built only for API callers.
+    basis decodes _basis_keys, and the basis and pivot literals of
+    to_json_dict and the basis verb are formatted from keys by _literals,
+    so the Disequence lists basis and pivots are built only for API callers.
+    Tables compare by identity and print no rows.
     """
 
-    __slots__ = (
-        "alphabet",
-        "field",
-        "mode",
-        "degree_bound",
-        "slack",
-        "homogeneous",
-        "fingerprint",
-        "_keys",
-        "_rows",
-        "_basis",
-        "_row_elements",
-    )
-
-    def __init__(self, alphabet, field, mode, degree_bound, slack, homogeneous, fingerprint,
-                 keys, rows):
-        self.alphabet = alphabet
-        self.field = field
-        self.mode = mode
-        self.degree_bound = degree_bound
-        self.slack = slack
-        self.homogeneous = homogeneous
-        self.fingerprint = fingerprint
-        self._keys = keys
-        self._rows = rows
-        self._basis = None
-        self._row_elements = None
+    alphabet: Alphabet
+    field: object
+    mode: str
+    degree_bound: int
+    slack: int
+    homogeneous: bool
+    fingerprint: str
+    _keys: KeyCodec
+    _rows: dict
 
     @property
     def exact(self) -> bool:
@@ -572,32 +570,18 @@ class BasisTable:
 
     @property
     def rows(self) -> dict:
-        if self._row_elements is None:
-            keys, field = self._keys, self.field
-            self._row_elements = {
-                keys.decode(piv): _element(keys, field, {**tail, piv: d}, d)
-                for piv, (d, tail) in sorted(self._rows.items())
-            }
-        return self._row_elements
+        keys, field = self._keys, self.field
+        return {
+            keys.decode(piv): _element(keys, field, {**tail, piv: d}, d)
+            for piv, (d, tail) in sorted(self._rows.items())
+        }
 
     @property
     def basis(self) -> list[Disequence]:
-        if self._basis is None:
-            assoc = self.mode == ASSOCIATIVE
-            self._basis_end()
-            rows, offset = self._rows, self._keys.offset
-            out = []
-            for t in range(1, self.degree_bound + 1):
-                # keys of length t run consecutively in enumeration order
-                out.extend(
-                    m for x, m in enumerate(monomials(self.alphabet, t, assoc), offset(t))
-                    if x not in rows
-                )
-            self._basis = out
-        return self._basis
+        return [self._keys.decode(x) for x in self._basis_keys()]
 
-    def _basis_end(self) -> int:
-        """offset(degree_bound + 1), the number of keys a basis walk visits;
+    def _basis_keys(self) -> list[int]:
+        """The keys of basis, ascending, without building monomials;
         raises past MATERIALIZE_CAP."""
         total = self._keys.offset(self.degree_bound + 1)
         if total > MATERIALIZE_CAP:
@@ -605,11 +589,7 @@ class BasisTable:
                 f"materializing the basis up to degree {self.degree_bound} "
                 f"would enumerate {_count_text(total)} monomials"
             )
-        return total
-
-    def _basis_keys(self) -> list[int]:
-        """The keys of basis, ascending, without building monomials."""
-        return _basis_keys_in(self._rows, 0, self._basis_end())
+        return _basis_keys_in(self._rows, 0, total)
 
     def _reduce(self, terms) -> tuple[int, dict]:
         """_reduce_terms of (key, int coefficient) pairs against the rows."""
@@ -783,12 +763,7 @@ class PrefixSuffixReport:
         return not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "violations": [list(v) for v in self.violations],
-            "exact": self.exact,
-            "ok": self.ok,
-        }
+        return json_fields(self, "ok")
 
 
 def prefix_suffix_check(table_d: BasisTable, table_a: BasisTable) -> PrefixSuffixReport:

@@ -5,7 +5,9 @@ from direct runs of the estimator on closed-form series; counts are frozen
 from tests/oracle.py.
 """
 
+import json
 import math
+from functools import cache
 from itertools import accumulate
 
 import pytest
@@ -30,7 +32,14 @@ from digrow.growth import (
     special_basis_check,
     theorem_a_check,
 )
-from digrow.presentation import ASSOCIATIVE, DIALGEBRA, SCHEME_TAGS, basis_upto
+from digrow.presentation import (
+    ASSOCIATIVE,
+    DIALGEBRA,
+    SCHEME_TAGS,
+    basis_upto,
+    canonical_json,
+    prefix_suffix_check,
+)
 
 
 def fixture(name):
@@ -79,6 +88,57 @@ def test_series_json_and_csv_shapes():
     assert d["mode"] == DIALGEBRA and d["fingerprint"] == "abc"
     assert s.to_csv() == "n,count_n,cumulative_n,mode\n1,1,1,dialgebra\n2,2,3,dialgebra\n"
     assert s.to_json().endswith("\n")
+
+
+# ===== JSON payloads =======================================================
+
+PAYLOAD_KEYS = {
+    "GrowthSeries": {
+        "mode", "fingerprint", "degree_bound", "per_degree", "cumulative", "exact", "warnings",
+    },
+    "GkEstimate": {
+        "slope", "window", "classification", "degree", "residual", "mode", "fingerprint",
+    },
+    "TheoremAReport": {"checked", "violation", "truncated", "ok"},
+    "GapReport": {"anomalies", "ok"},
+    "PrefixSuffixReport": {"checked", "violations", "exact", "ok"},
+    "SpecialBasisReport": {"m", "degree_bound", "found", "prediction"},
+    # exhaustive is a WARN line of the text output, not a payload key
+    "IdentityClassReport": {"holds", "witnesses", "verified_degree", "pairs_checked",
+                            "predictions"},
+    "BasisTable": {"mode", "degree_bound", "homogeneous", "slack", "basis", "pivots"},
+}
+
+
+@cache
+def payload_sources() -> dict:
+    """One object per payload type, with its tuple fields nonempty."""
+    pres, comm = fixture("inhomog_ab"), fixture("comm_ab")
+    # slack 0 truncates: a warning and prefix/suffix violations
+    td = basis_upto(pres, 2, slack=0)
+    ta = basis_upto(pres, 2, mode=ASSOCIATIVE, slack=0)
+    band = gk_estimate(series_of([round(n**1.5) for n in range(1, 513)]))
+    comm_table = basis_upto(comm, 5)
+    objs = [
+        GrowthSeries.from_table(td),
+        band,
+        theorem_a_check(series_of([1, 1], fingerprint="f"),
+                        series_of([1, 2], mode=ASSOCIATIVE, fingerprint="f"), 2),
+        gap_check([band]),
+        prefix_suffix_check(td, ta),
+        special_basis_check(comm_table),
+        identity_class_check(comm, comm_table),
+        td,
+    ]
+    return {type(obj).__name__: obj for obj in objs}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_KEYS))
+def test_payload_keys_and_json_types(name):
+    payload = payload_sources()[name].to_json_dict()
+    assert set(payload) == PAYLOAD_KEYS[name]
+    # lists, never tuples, at any depth: the payload is what JSON reads back
+    assert payload == json.loads(canonical_json(payload))
 
 
 # ===== series from presentations ===========================================

@@ -804,6 +804,9 @@ def assert_kernel_rows(rows, field):
 
 def test_basistable_invariants():
     table = basis_upto(fixture("comm_ab"), 4)
+    # slotted, and equal only to itself
+    assert not hasattr(table, "__dict__")
+    assert table != basis_upto(fixture("comm_ab"), 4)
     pivots = table.pivots
     assert pivots == sorted(pivots, key=Disequence.sort_key)
     basis = table.basis

@@ -6,11 +6,12 @@ presentations.
 Draws `count` presentations whose relators have two or three terms of
 mixed lengths and coefficients such as 1/2, -2/3, 5 and 7/3, over Q,
 GF(7) and GF(32003), with random identity schemes and slack, and
-saturates each in both modes.  Every decoded row, the per-degree counts
-and the normal form of one seeded element go into a sha256 digest, printed
-on the last line.  Only the public API is used (`basis_upto`,
-`BasisTable.rows`, `counts_by_degree`, `normal_form`), so two checkouts
-that print the same digest compute the same tables.
+saturates each in both modes.  Every decoded row, the decoded basis, the
+per-degree counts and the normal form of one seeded element go into a
+sha256 digest, printed on the last line.  Only the public API is used
+(`basis_upto`, `BasisTable.rows`, `BasisTable.basis`, `counts_by_degree`,
+`normal_form`), so two checkouts that print the same digest compute the
+same tables.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ def lines_of(pres: Presentation, rng):
         yield f"{mode} slack {table.slack} counts {table.counts_by_degree()}"
         for piv, row in table.rows.items():
             yield f"{piv.format()}: {row.format()}"
+        yield "basis " + " ".join(m.format() for m in table.basis)
         x = element(rng, pres.alphabet, pres.field, 3, n, mode == ASSOCIATIVE)
         yield f"nf {x.format()} = {normal_form(x, table).format()}"
 
