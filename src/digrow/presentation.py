@@ -2,12 +2,26 @@
 
 A presentation is an alphabet, a scalar field, a list of relators and a list
 of identity schemes.  The ideal the relators and schemes generate is built
-degree by degree: seed rows, then close under multiplication by single
-generators on both sides under both products, reducing every candidate
-against a fully inter-reduced echelon set as it arrives.  Pivot monomials of
-the echelon rows are exactly the monomials that reduce; everything else is
-the basis.  Binomial presentations get the same rows from a union-find over
-the monomials of each degree, with no field arithmetic.
+degree by degree into a fully inter-reduced echelon set.  Pivot monomials
+of the echelon rows are exactly the monomials that reduce; everything else
+is the basis.  Three engines build the same rows, and the input's shape
+picks one (_saturation_rows):
+
+- binomial input (homogeneous, every relator c*m or c*m1 - c*m2) takes a
+  union-find over the monomials of each degree, with no field arithmetic;
+- other homogeneous input in dialgebra mode takes the bimodule engine
+  (digrow.bimodule, imported on first use).  The axioms
+  (x -| y) |- z = (x |- y) |- z and x -| (y -| z) = x -| (y |- z) make the
+  left factor of |- and the right factor of -| act only through their
+  image in the associated associative algebra A_D.  So the monomial
+  [u c v]@(|u|+1) = u |- c -| v is worked with as a triple (u, c, v) of
+  A_D (x) kX (x) A_D, the ideal is saturated on triples whose u and v are
+  A_D-normal, and a monomial whose u or v is not normal gets the row
+  [u c v] - nf(u) c nf(v), reduced against the rest;
+- everything else, inhomogeneous input and associative mode, takes
+  elimination: seed rows, then close under multiplication by single
+  generators on both sides under both products, reducing every candidate
+  as it arrives.
 
 Truncation semantics matter.  Saturation runs to degree n + slack and the
 table reports degrees up to n.  A kept row never has a term beyond the cap
@@ -35,7 +49,7 @@ from .errors import (
     FieldMismatch,
     ResourceCapExceeded,
 )
-from .monomial import Alphabet, Disequence, KeyCodec, universe_total
+from .monomial import Alphabet, Disequence, KeyCodec, universe_count, universe_total
 from .monomial import monomials  # unused here; perfbench/traced.py wraps presentation.monomials
 
 DIALGEBRA = "dialgebra"
@@ -374,6 +388,17 @@ def _element(keys: KeyCodec, field, terms: dict, den: int) -> DiElement:
 # ===== saturation ==========================================================
 
 
+def _products(piv: int, row: tuple, images) -> list[list]:
+    """The row piv + tail/d, written d*piv + tail, under each
+    single-generator map: one candidate of (key, c) pairs per map, where
+    images(key) lists a key's images, one per map."""
+    d, tail = row
+    coeffs = (d, *tail.values())
+    # one column of keys per map, aligned with coeffs
+    cols = zip(*map(images, (piv, *tail)))
+    return [list(zip(col, coeffs)) for col in cols]
+
+
 def _elimination_rows(q: Presentation, keys: KeyCodec) -> dict:
     """Degree-bucketed closure of the ideal span of q up to the length cap
     of keys, in keys' mode.
@@ -388,13 +413,6 @@ def _elimination_rows(q: Presentation, keys: KeyCodec) -> dict:
     p, cap, offset = q.field.p, keys.cap, keys.offset
     images, length = keys.images, keys.length
     rows, users = {}, {}
-
-    def products(piv):
-        d, tail = rows[piv]
-        coeffs = (d, *tail.values())
-        # one column of keys per single-generator map, aligned with coeffs
-        cols = zip(images(piv), *map(images, tail))
-        return [list(zip(col, coeffs)) for col in cols]
 
     pend: list[list] = [[] for _ in range(cap + 1)]
     # images of killed rows: single monomials, one set per length
@@ -424,7 +442,7 @@ def _elimination_rows(q: Presentation, keys: KeyCodec) -> dict:
                     if rows[piv] is _KILLED:
                         kills[top + 1].update(images(piv))
                     else:
-                        pend[top + 1].extend(products(piv))
+                        pend[top + 1].extend(_products(piv, rows[piv], images))
         # a late short pivot can drop work into lower buckets; go back
         t = next((s for s in range(1, t + 1) if pend[s] or kills[s]), t + 1)
     return rows
@@ -529,6 +547,22 @@ def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
     return rows
 
 
+def _saturation_rows(q: Presentation, keys: KeyCodec) -> dict:
+    """The kernel rows of q up to keys.cap, from the engine q's shape
+    routes to: binomial input to _congruence_rows, other homogeneous
+    dialgebra input to bimodule._bimodule_rows, everything else to
+    _elimination_rows.  All three give the same rows."""
+    if _binomial(q):
+        return _congruence_rows(q, keys)
+    if q.homogeneous and not keys.associative:
+        # imported here, not at the top: compiling the module at start-up
+        # would cost every other run about 0.4 MiB of peak memory
+        from . import bimodule
+
+        return bimodule._bimodule_rows(q, keys)
+    return _elimination_rows(q, keys)
+
+
 # ===== basis tables ========================================================
 
 
@@ -547,7 +581,9 @@ class BasisTable:
     basis decodes _basis_keys, and the basis and pivot literals of
     to_json_dict and the basis verb are formatted from keys by _literals,
     so the Disequence lists basis and pivots are built only for API callers.
-    Tables compare by identity and print no rows.
+    The KeyCodec is built on first use: the counts and the basis keys of a
+    relator-free table need none.  Tables compare by identity and print no
+    rows.
     """
 
     alphabet: Alphabet
@@ -557,8 +593,15 @@ class BasisTable:
     slack: int
     homogeneous: bool
     fingerprint: str
-    _keys: KeyCodec
+    _codec: KeyCodec | None
     _rows: dict
+
+    @property
+    def _keys(self) -> KeyCodec:
+        if self._codec is None:
+            self._codec = KeyCodec(self.alphabet, self.degree_bound + self.slack,
+                                   self.mode == ASSOCIATIVE)
+        return self._codec
 
     @property
     def exact(self) -> bool:
@@ -583,7 +626,7 @@ class BasisTable:
     def _basis_keys(self) -> list[int]:
         """The keys of basis, ascending, without building monomials;
         raises past MATERIALIZE_CAP."""
-        total = self._keys.offset(self.degree_bound + 1)
+        total = universe_total(self.alphabet.size, self.degree_bound, self.mode == ASSOCIATIVE)
         if total > MATERIALIZE_CAP:
             raise ResourceCapExceeded(
                 f"materializing the basis up to degree {self.degree_bound} "
@@ -605,13 +648,14 @@ class BasisTable:
 
     def counts_by_degree(self) -> list[int]:
         """Basis size per degree 1..degree_bound, no materialization needed."""
-        offset = self._keys.offset
-        pivots = sorted(self._rows)
-        starts = [bisect_left(pivots, offset(t)) for t in range(1, self.degree_bound + 2)]
-        return [
-            offset(t + 1) - offset(t) - (starts[t] - starts[t - 1])
-            for t in range(1, self.degree_bound + 1)
-        ]
+        k, associative = self.alphabet.size, self.mode == ASSOCIATIVE
+        counts = [universe_count(k, t, associative) for t in range(1, self.degree_bound + 1)]
+        if self._rows:
+            pivots, offset = sorted(self._rows), self._keys.offset
+            starts = [bisect_left(pivots, offset(t)) for t in range(1, self.degree_bound + 2)]
+            for t in range(1, self.degree_bound + 1):
+                counts[t - 1] -= starts[t] - starts[t - 1]
+        return counts
 
     def _literals(self, keys: list[int]) -> list[str]:
         """The literals Disequence.format() writes for ascending keys,
@@ -665,7 +709,13 @@ def basis_upto(
 
     Works on pres itself in dialgebra mode and on its associative image in
     associative mode, through degree n + slack.  Binomial input takes the
-    congruence engine, everything else elimination; both give the same rows.
+    congruence engine.  Other homogeneous input in dialgebra mode takes the
+    bimodule engine: by the axioms (x -| y) |- z = (x |- y) |- z and
+    x -| (y -| z) = x -| (y |- z), u and v act on [u c v]@(|u|+1) only
+    through their image in A_D, so it saturates on triples (u, c, v) with
+    u and v A_D-normal and gives every other monomial the row
+    [u c v] - nf(u) c nf(v), reduced against those.  Everything else takes
+    elimination.  All three give the same rows.
     """
     mode = _norm_mode(mode)
     check_degree_bound(n)
@@ -674,7 +724,7 @@ def basis_upto(
     eff = _effective_slack(q, slack)
     cap = n + eff
     saturate = bool(q.relators or q.schemes)
-    # checked before the KeyCodec is built: it holds O(cap**2) bits
+    # checked before any KeyCodec is built: it holds O(cap**2) bits
     total = universe_total(q.alphabet.size, cap, associative)
     if saturate:
         if max_universe is None:
@@ -692,20 +742,19 @@ def basis_upto(
             f"a table up to degree {cap} would hold {_count_text(total)} monomials, "
             f"more digits than Python converts to a string; lower the degree"
         ) from None
-    keys = KeyCodec(q.alphabet, cap, associative)
-    rows = {}
+    keys, rows = None, {}
     if saturate:
-        engine = _congruence_rows if _binomial(q) else _elimination_rows
+        keys = KeyCodec(q.alphabet, cap, associative)
         # the engines build no reference cycles; cyclic GC would only
         # rescan their growing containers
         enabled = gc.isenabled()
         gc.disable()
         try:
-            rows = engine(q, keys)
+            rows = _saturation_rows(q, keys)
         finally:
             if enabled:
                 gc.enable()
-    if eff:
+    if eff and rows:
         # rows reach degree n + eff; only slack puts them beyond n
         end = keys.offset(n + 1)
         rows = {piv: row for piv, row in rows.items() if piv < end}

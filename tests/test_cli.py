@@ -466,6 +466,35 @@ def test_unprintable_relator_free_table_exits_3(capsys):
                    "lower the degree\n")
 
 
+def test_relator_free_counts_build_no_key_table():
+    # the counts of a relator-free table come from universe_count; the
+    # KeyCodec up to degree 14000 (two lists of big ints, about 24 MiB)
+    # is never built
+    src = str(Path(digrow.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def peak(body):
+        """stdout and ru_maxrss (KiB) of a process running body.  A small
+        launcher starts it: a child forked from this test process would
+        inherit the test process's high-water mark."""
+        launcher = ("import resource, subprocess, sys\n"
+                    f"subprocess.run([sys.executable, '-c', {body!r}], check=True)\n"
+                    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
+                    "file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True,
+                              text=True, env=env, check=True)
+        return proc.stdout, int(proc.stderr.split()[-1])
+
+    _, bare = peak("import digrow.cli")
+    out, used = peak(f"from digrow.cli import main\n"
+                     f"main(['gk', {str(FREE_AB)!r}, '--mode', 'assoc', '--max-degree', '14000'])")
+    assert out == ("classification: superpolynomial\nslope: 5418.7412\n"
+                   "window: 3500:14000\nresidual: 362.090708\n")
+    # the per-degree and cumulative counts alone take about 24 MiB
+    assert used - bare < 36 * 1024, (bare, used)
+
+
 def test_csv_rejected_before_any_work(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("saturated before rejecting --format csv")
@@ -564,6 +593,29 @@ def test_verify_warnings_ignore_hash_seed(tmp_path):
         "WARN approximate: lower-bound ideal / upper-bound basis (slack 2)",
         "WARN approximate: lower-bound ideal / upper-bound basis (slack 1)",
     ]
+
+
+def test_bimodule_engine_is_imported_only_when_routed(tmp_path):
+    # a run that never takes the bimodule engine does not compile it
+    dense = tmp_path / "dense.dpres"
+    dense.write_text("generators a b\nrel -4*[a a b]@3 + 5*[a b a]@3 - 7*[b b a]@1\n")
+    src = str(Path(digrow.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from digrow.cli import main\n"
+        f"for path in {[COMM_AB, INHOMOG, FREE_AB]!r}:\n"
+        "    for mode in ('dialgebra', 'assoc'):\n"
+        "        assert main(['growth', path, '--max-degree', '4', '--mode', mode]) == 0\n"
+        f"assert main(['growth', {str(dense)!r}, '--max-degree', '4', '--mode', 'assoc']) == 0\n"
+        "assert 'digrow.bimodule' not in sys.modules\n"
+        f"assert main(['growth', {str(dense)!r}, '--max-degree', '4']) == 0\n"
+        "assert 'digrow.bimodule' in sys.modules\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gf_run_imports_standard_library_only(tmp_path):

@@ -43,6 +43,7 @@ from digrow.presentation import (
     prefix_suffix_check,
 )
 from digrow import fixture_path
+from digrow.bimodule import _bimodule_rows
 from digrow.growth import special_basis_check
 
 A = Alphabet.of("a")
@@ -485,6 +486,131 @@ def test_elimination_with_schemes_matches_oracle(pres, assoc):
     assert got_rows == {m: tail for m, tail in want_rows.items() if len(m[0]) <= n}
 
 
+# ===== the bimodule engine against elimination =============================
+
+
+@st.composite
+def routed_presentations(draw):
+    """Homogeneous, non-binomial presentations over Q or GF(7): what
+    dialgebra mode hands to _bimodule_rows.  Relators have one to three
+    terms of one length, with integer and fractional coefficients; any
+    identity schemes."""
+    k = draw(st.integers(1, 3))
+    alphabet = Alphabet(tuple("abc"[:k]))
+    field = draw(st.sampled_from([QQ, GF7]))
+
+    def mono(length):
+        word = bytes(draw(st.integers(0, k - 1)) for _ in range(length))
+        return Disequence(alphabet, word, draw(st.integers(1, length)))
+
+    relators = []
+    for _ in range(draw(st.integers(1, 2))):
+        length = draw(st.integers(1, 3 if k < 3 else 2))
+        terms = {mono(length): field.coerce(Fraction(draw(st.sampled_from(COEFFS))))
+                 for _ in range(draw(st.integers(1, 3)))}
+        relators.append(DiElement(alphabet, field, terms))
+    relators = tuple(r for r in relators if not r.is_zero)
+    schemes = draw(st.lists(st.sampled_from(SCHEME_TAGS), unique=True, max_size=3))
+    pres = Presentation(alphabet, field, relators, tuple(schemes))
+    assume(relators and not _binomial(pres))
+    return pres
+
+
+@given(st.one_of(routed_presentations(),
+                non_binomial_presentations().filter(lambda p: p.homogeneous and not _binomial(p))))
+def test_bimodule_rows_match_elimination(pres):
+    k = pres.alphabet.size
+    for cap in (1, 2, {1: 8, 2: 5, 3: 4}[k]):
+        keys = KeyCodec(pres.alphabet, cap)
+        assert _bimodule_rows(pres, keys) == _elimination_rows(pres, keys)
+
+
+# the three seed-1 relators of the dense benchmark workload
+DENSE_RELATORS = (
+    "-7*[b a a]@2 + 2*[b b a]@2 + 5*[b b b]@2",
+    "-4*[a a b]@3 + 5*[a b a]@3 - 7*[b b a]@1",
+    "7*[a a a]@2 + 4*[a b b]@3 - 5*[b b b]@3",
+)
+
+
+@pytest.mark.parametrize("field", [QQ, GF7, PrimeField(32003)], ids=str)
+@pytest.mark.parametrize("relator", DENSE_RELATORS)
+def test_bimodule_rows_match_elimination_on_dense_relators(relator, field):
+    pres = Presentation(AB, field, (parse_element(relator, AB, field),))
+    for cap in (1, 2, 7):
+        keys = KeyCodec(AB, cap)
+        assert _bimodule_rows(pres, keys) == _elimination_rows(pres, keys)
+    # with schemes, whose instances are taken on normal triples
+    pres = Presentation(AB, field, pres.relators, ("lcomm", "cross"))
+    keys = KeyCodec(AB, 6)
+    assert _bimodule_rows(pres, keys) == _elimination_rows(pres, keys)
+
+
+@st.composite
+def truncated_presentations_with_slack(draw):
+    """truncated_presentations with a file slack of None, 0, 1 or 2: their
+    associative image c*m is homogeneous, the dialgebra input is not."""
+    pres = draw(truncated_presentations())
+    slack = draw(st.sampled_from([None, 0, 1, 2]))
+    return Presentation(pres.alphabet, pres.field, pres.relators, pres.schemes, slack)
+
+
+def engine_calls(monkeypatch, pres, n, mode):
+    """The engines basis_upto(pres, n, mode) calls, in order, as
+    (name, associative) pairs: the bimodule engine calls one more for A_D."""
+    from digrow import bimodule, presentation
+
+    calls = []
+    for module, name in ((presentation, "_congruence_rows"), (presentation, "_elimination_rows"),
+                         (bimodule, "_bimodule_rows")):
+        def wrapped(q, keys, _name=name, _engine=getattr(module, name)):
+            calls.append((_name[1:-5], keys.associative))
+            return _engine(q, keys)
+
+        monkeypatch.setattr(module, name, wrapped)
+    basis_upto(pres, n, mode)
+    monkeypatch.undo()
+    return calls
+
+
+def test_routing_picks_the_engine_by_input_shape(monkeypatch):
+    # binomial input: union-find
+    assert engine_calls(monkeypatch, fixture("comm_ab"), 4, DIALGEBRA) == [("congruence", False)]
+    # homogeneous, non-binomial dialgebra input: the bimodule, whose A_D
+    # goes to its associative engine
+    for field in (QQ, GF32003):
+        assert engine_calls(monkeypatch, dense(field), 4, DIALGEBRA) == [
+            ("bimodule", False), ("elimination", True)]
+    comm_dense = Presentation(AB, QQ, dense(QQ).relators, ("lcomm",))
+    assert engine_calls(monkeypatch, comm_dense, 4, DIALGEBRA) == [
+        ("bimodule", False), ("elimination", True)]
+    # inhomogeneous input stays on elimination, even where its associative
+    # image is homogeneous: truncated elimination can miss rows the bimodule
+    # has (see test_prefix_suffix_truncation_violations_golden)
+    inhomog = fixture("inhomog_ab")
+    assert associated_associative(inhomog).homogeneous
+    assert engine_calls(monkeypatch, inhomog, 4, DIALGEBRA) == [("elimination", False)]
+    # an inhomogeneous associative image
+    skew = Presentation(AB, QQ, (E("[a b]@1 - [a]@1"),))
+    assert not associated_associative(skew).homogeneous
+    assert engine_calls(monkeypatch, skew, 3, DIALGEBRA) == [("elimination", False)]
+    # associative mode never takes the bimodule
+    for pres in [fixture(name) for name in ("comm_ab", "inhomog_ab", "cross_a")] + [
+            dense(QQ), dense(GF32003), comm_dense, skew]:
+        engine = "congruence" if _binomial(associated_associative(pres)) else "elimination"
+        assert engine_calls(monkeypatch, pres, 3, ASSOCIATIVE) == [(engine, True)]
+    # relator-free input saturates nothing
+    for mode in (DIALGEBRA, ASSOCIATIVE):
+        assert engine_calls(monkeypatch, fixture("free_ab"), 3, mode) == []
+
+
+@given(truncated_presentations_with_slack())
+def test_truncated_input_stays_on_elimination(pres):
+    assert associated_associative(pres).homogeneous and not pres.homogeneous
+    with pytest.MonkeyPatch.context() as mp:
+        assert engine_calls(mp, pres, 3, DIALGEBRA) == [("elimination", False)]
+
+
 # frozen from the tests/oracle.py comparisons above, extended one degree
 FROZEN_COUNTS = {
     ("free_a", 6): [1, 2, 3, 4, 5, 6],
@@ -768,6 +894,18 @@ def test_free_tables_skip_the_cap_but_not_materialization():
     assert sum(t * 2**t for t in range(1, 21)) > MATERIALIZE_CAP
     with pytest.raises(ResourceCapExceeded):
         table.basis
+    # neither the counts nor the refusal built a key table; a key read does
+    assert table._codec is None
+    assert D("[a b]@2") in table
+    assert table._codec.cap == 20 and not table._codec.associative
+    # the key table of a relator-free table is the one saturation would build
+    for mode, slack in ((DIALGEBRA, None), (ASSOCIATIVE, 2)):
+        table = basis_upto(fixture("free_ab"), 3, mode, slack=slack)
+        assert table.basis == [m for t in range(1, 4)
+                               for m in monomials(AB, t, mode == ASSOCIATIVE)]
+        assert table._codec.cap == 3 + table.slack
+        assert table.counts_by_degree() == [len(list(monomials(AB, t, mode == ASSOCIATIVE)))
+                                            for t in range(1, 4)]
 
 
 def test_tables_are_deterministic():
@@ -843,9 +981,10 @@ def test_basistable_invariants():
         q = associated_associative(pres) if assoc else pres
         assert_kernel_rows(_elimination_rows(q, KeyCodec(AB, 5, assoc)), QQ)
     for field in (QQ, GF32003):
-        rows = _elimination_rows(dense(field), KeyCodec(AB, 5))
-        assert any(d > 1 for d, _ in rows.values()) == (field == QQ)
-        assert_kernel_rows(rows, field)
+        for engine in (_elimination_rows, _bimodule_rows):
+            rows = engine(dense(field), KeyCodec(AB, 5))
+            assert any(d > 1 for d, _ in rows.values()) == (field == QQ)
+            assert_kernel_rows(rows, field)
         comm = Presentation(AB, field, (parse_element("[b b]@1", AB, field),),
                             ("lcomm", "rcomm"))
         assert_kernel_rows(_congruence_rows(comm, KeyCodec(AB, 4)), field)
@@ -904,13 +1043,13 @@ def test_reduce_terms_ignores_pair_order_and_repeats(table, pairs, data):
     assert reduced_value(got, p) == want
 
 
-@pytest.mark.parametrize("name", ["inhomog_ab", "comm_ab"])
+@pytest.mark.parametrize("name", ["inhomog_ab", "comm_ab", "dense"])
 def test_basis_upto_restores_gc_state(name, monkeypatch):
     import gc
 
-    from digrow import presentation
+    from digrow import bimodule, presentation
 
-    pres = fixture(name)
+    pres = dense(QQ) if name == "dense" else fixture(name)
     was = gc.isenabled()
     try:
         for state in (True, False):
@@ -925,8 +1064,9 @@ def test_basis_upto_restores_gc_state(name, monkeypatch):
             seen.append(gc.isenabled())
             raise RuntimeError("engine failed")
 
-        for engine in ("_congruence_rows", "_elimination_rows"):
-            monkeypatch.setattr(presentation, engine, failing)
+        for module, engine in ((presentation, "_congruence_rows"),
+                               (presentation, "_elimination_rows"), (bimodule, "_bimodule_rows")):
+            monkeypatch.setattr(module, engine, failing)
         for state in (True, False):
             (gc.enable if state else gc.disable)()
             with pytest.raises(RuntimeError, match="engine failed"):

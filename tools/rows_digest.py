@@ -8,10 +8,13 @@ mixed lengths and coefficients such as 1/2, -2/3, 5 and 7/3, over Q,
 GF(7) and GF(32003), with random identity schemes and slack, and
 saturates each in both modes.  Every decoded row, the decoded basis, the
 per-degree counts and the normal form of one seeded element go into a
-sha256 digest, printed on the last line.  Only the public API is used
-(`basis_upto`, `BasisTable.rows`, `BasisTable.basis`, `counts_by_degree`,
-`normal_form`), so two checkouts that print the same digest compute the
-same tables.
+sha256 digest, printed on the last line; a tally of the draws goes to
+stderr.  Every draw is non-binomial in dialgebra mode, so the homogeneous
+ones (all but the "inhomogeneous" count) take the bimodule engine there;
+"associative image homogeneous" counts the draws whose A_D is exact.
+Only the public API is used (`basis_upto`, `BasisTable.rows`,
+`BasisTable.basis`, `counts_by_degree`, `normal_form`), so two checkouts
+that print the same digest compute the same tables.
 """
 
 from __future__ import annotations
@@ -117,7 +120,9 @@ def main(argv=None) -> int:
         tally["inhomogeneous"] += not pres.homogeneous
         tally["schemes"] += bool(pres.schemes)
         tally["slack set"] += pres.slack is not None
-        tally["binomial in associative mode"] += binomial(associated_associative(pres))
+        assoc = associated_associative(pres)
+        tally["binomial in associative mode"] += binomial(assoc)
+        tally["associative image homogeneous"] += assoc.homogeneous
         for line in lines_of(pres, rng):
             digest.update(line.encode() + b"\n")
     elapsed = time.perf_counter() - start
