@@ -7,61 +7,86 @@ compile it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from copy import copy
 from math import gcd, lcm
 
 from .monomial import KeyCodec
 from .presentation import (
     _KILLED,
     Presentation,
-    _basis_keys_in,
+    _binomial,
+    _class_rows,
     _insert_row,
     _integer_terms,
+    _pivot_counts,
     _products,
     _reduce_terms,
     _saturation_rows,
     _scheme_instances,
+    _union_find,
     associated_associative,
 )
 
 
-def _bimodule_rows(q: Presentation, keys: KeyCodec) -> dict:
-    """The rows _elimination_rows(q, keys) returns, for homogeneous
-    dialgebra input.
+class TripleRows(Mapping):
+    """The kernel rows {pivot: (d, tail)} of a dialgebra table, read-only,
+    held as A_D's normal forms and M's rows only.
 
     The key [u c v]@(|u|+1) is the triple (u, c, v); it is normal when u
-    and v are normal words of A = A_D, whose table of degree cap - 1 this
-    builds first.  Degree by degree, M, the sub-bimodule of A (x) kX (x) A
-    the relators and scheme instances generate, is saturated on normal
-    triples: every candidate is written as a sum of nf(u) c nf(v) first,
-    and only g |- . and . -| g are applied, since the two
-    middle-forgetting maps vanish on M.  Scheme instances range over the
-    normal triples M leaves in the basis.  Then every monomial m = (u, c, v)
-    of that degree whose u or v is not normal gets the row
-    m - nf(u) c nf(v), reduced against M.  Its pivot is m, since nf(u) and
-    nf(v) hold smaller words of the same length, so these rows and M's
-    are the reduced echelon form of the span.
+    and v are normal words of A = A_D, whose rows one degree below the
+    codec's cap this holds.  M, the sub-bimodule of A (x) kX (x) A that the
+    relators and scheme instances generate, has its rows on normal
+    triples; _bimodule_rows fills them in.  Every other key m = (u, c, v)
+    up to degree top is a pivot too, with the row m - nf(u) c nf(v)
+    reduced against M.  Its pivot is m, since nf(u) and nf(v) hold smaller
+    words of the same length, so these rows and M's are the reduced
+    echelon form of the span.  That row is computed whenever it is read
+    and never stored.
     """
-    p, cap, k = q.field.p, keys.cap, q.alphabet.size
-    split, offset = keys.split, keys.offset
-    pw = [k**t for t in range(cap + 2)]
-    akeys = KeyCodec(q.alphabet, cap - 1, True)
-    # sides[l][w]: A's normal form of the word value w of length l, as
-    # (d, [(word value, c)]) for the word sum(c*word)/d; None when w is normal
-    sides = [[None] * pw[t] for t in range(cap)]
-    for a, (d, tail) in _saturation_rows(associated_associative(q), akeys).items():
-        t = akeys.length(a)
-        o = akeys.offset(t)
-        sides[t][a - o] = d, [(b - o, -c) for b, c in tail.items()]
 
-    def tensor(x):
+    __slots__ = ("_keys", "_arows", "_aoff", "_p", "_m", "_top", "_end", "_pow", "_normal")
+
+    def __init__(self, keys: KeyCodec, akeys: KeyCodec, arows: dict, p: int):
+        self._keys, self._arows, self._p = keys, arows, p
+        self._m: dict = {}
+        self._top, self._end = keys.cap, keys.offset(keys.cap + 1)
+        k = keys.alphabet.size
+        self._pow = [k**t for t in range(keys.cap + 2)]
+        # _aoff[l] + w is the key in arows of the word value w of length l;
+        # the empty word has none, and -1 is in no row
+        self._aoff = [-1] + [akeys.offset(t) for t in range(1, keys.cap)]
+        # _normal[l]: the word values of A's normal words of length l
+        self._normal = [[w for w in range(self._pow[t]) if self._aoff[t] + w not in arows]
+                        for t in range(keys.cap)]
+
+    def below(self, top: int) -> TripleRows:
+        """These rows without those of degree above top."""
+        out = copy(self)
+        out._top, out._end = top, self._keys.offset(top + 1)
+        out._m = {x: row for x, row in self._m.items() if x < out._end}
+        return out
+
+    def _side(self, length: int, w: int):
+        """A's normal form of the word value w of the given length, as
+        (d, [(word value, c)]) for the word sum(c*word)/d; None when the
+        word is normal."""
+        o = self._aoff[length]
+        row = self._arows.get(o + w)
+        if row is None:
+            return None
+        d, tail = row
+        return d, [(b - o, -c) for b, c in tail.items()]
+
+    def _tensor(self, x: int):
         """(d, [(key, c)]): the triple x as the sum of c*key over d, every
         key a normal triple; None when x is one."""
-        t, m, w = split(x)
+        t, m, w = self._keys.split(x)
         lv = t - m
-        step = pw[lv + 1]
+        step = self._pow[lv + 1]
         wu, rest = divmod(w, step)
-        wv = rest % pw[lv]
-        us, vs = sides[m - 1][wu], sides[lv][wv]
+        wv = rest % self._pow[lv]
+        us, vs = self._side(m - 1, wu), self._side(lv, wv)
         if us is None and vs is None:
             return None
         du, us = us or (1, [(wu, 1)])
@@ -69,12 +94,12 @@ def _bimodule_rows(q: Presentation, keys: KeyCodec) -> dict:
         base = x - wu * step - wv
         return du * dv, [(base + a * step + b, ca * cb) for a, ca in us for b, cb in vs]
 
-    def normal(terms):
+    def _normal_terms(self, terms) -> list:
         """(key, c) pairs over normal triples with the span of the given
         pairs, scaled to integers."""
         parts, L = [], 1
         for x, c in terms:
-            nf = tensor(x)
+            nf = self._tensor(x)
             if nf is None:
                 parts.append((1, c, ((x, 1),)))
             else:
@@ -82,11 +107,194 @@ def _bimodule_rows(q: Presentation, keys: KeyCodec) -> dict:
                 parts.append((nf[0], c, nf[1]))
         return [(y, c * (L // d) * cy) for d, c, ys in parts for y, cy in ys]
 
+    def _triples(self, t: int) -> list[int]:
+        """The normal triples of degree t, ascending."""
+        off, pw, normal = self._keys.offset(t), self._pow, self._normal
+        k = pw[1]
+        out: list[int] = []
+        for i in range(t):
+            j = t - 1 - i
+            vs = normal[j]
+            for wu in normal[i]:
+                for c in range(k):
+                    base = off + i * pw[t] + (wu * k + c) * pw[j]
+                    out += [base + wv for wv in vs]
+        return out
+
+    def get(self, x: int, default=None):
+        row = self._m.get(x)
+        if row is not None:
+            return row
+        nf = self._tensor(x) if x < self._end else None
+        if nf is None:
+            return default
+        d, terms = nf
+        p = self._p
+        L, tail = _reduce_terms(terms, self._m, p)
+        if not tail:
+            return _KILLED
+        if p:
+            return 1, {y: -c % p for y, c in tail.items()}
+        # x - tail/(L*d), made primitive
+        d *= L
+        g = gcd(d, *tail.values())
+        return d // g, {y: -c // g for y, c in tail.items()}
+
+    def __getitem__(self, x: int):
+        row = self.get(x)
+        if row is None:
+            raise KeyError(x)
+        return row
+
+    def __contains__(self, x) -> bool:
+        if x >= self._end:
+            return False
+        t, m, w = self._keys.split(x)
+        lv = t - m
+        wu, rest = divmod(w, self._pow[lv + 1])
+        arows, aoff = self._arows, self._aoff
+        return (aoff[m - 1] + wu in arows or aoff[lv] + rest % self._pow[lv] in arows
+                or x in self._m)
+
+    def __iter__(self):
+        return (x for x in range(self._end) if x in self)
+
+    def __len__(self) -> int:
+        return sum(self.pivot_counts(self._top))
+
+    def pivot_counts(self, n: int) -> list[int]:
+        """How many pivots these rows hold at each degree 1..n, n <= top:
+        the t*k**t monomials of degree t less the k * sum a_i a_j normal
+        triples (a_i normal words of length i, i + j = t - 1), plus M's
+        pivots of degree t."""
+        k, a = self._pow[1], [len(ws) for ws in self._normal]
+        in_m = _pivot_counts(self._m, self._keys, n)
+        return [t * self._pow[t] - k * sum(a[i] * a[t - 1 - i] for i in range(t)) + c
+                for t, c in zip(range(1, n + 1), in_m)]
+
+
+def _bimodule_rows(q: Presentation, keys: KeyCodec) -> TripleRows:
+    """The rows _elimination_rows(q, keys) returns, for homogeneous
+    dialgebra input, as a TripleRows.
+
+    A's table of degree cap - 1 comes first.  Degree by degree, M is then
+    saturated on normal triples: every candidate is written as a sum of
+    nf(u) c nf(v) first, and only g |- . and . -| g are applied, since the
+    two middle-forgetting maps vanish on M.  Scheme instances range over
+    the normal triples M leaves in the basis.  Binomial q takes a
+    union-find (_triple_congruence), other q elimination
+    (_triple_elimination).
+    """
+    akeys = KeyCodec(q.alphabet, keys.cap - 1, True)
+    arows = _saturation_rows(associated_associative(q), akeys)
+    rows = TripleRows(keys, akeys, arows, q.field.p)
+    (_triple_congruence if _binomial(q) else _triple_elimination)(q, rows)
+    return rows
+
+
+def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
+    """M's rows for binomial q, by the union-find of _congruence_rows over
+    the normal triples of each degree.
+
+    A of binomial q is binomial, so nf of a word is one word or 0, and
+    every relator, image and scheme instance is, on normal triples, the
+    difference of two, one, or nothing: classes stay plain unions.
+    """
+    keys, m = rows._keys, rows._m
+    p, cap, k = q.field.p, keys.cap, q.alphabet.size
+    minus = -1 % p if p else -1
+
+    def normal(x):
+        """The normal triple x is, or None when x is 0."""
+        nf = rows._tensor(x)
+        if nf is None:
+            return x
+        return nf[1][0][0] if nf[1] else None
+
+    arows, aoff, pw = rows._arows, rows._aoff, rows._pow
+
+    def word(length, w):
+        """A's normal word of the word value w of that length, or None
+        for 0."""
+        o = aoff[length]
+        row = arows.get(o + w)
+        if row is None:
+            return w
+        return next(iter(row[1])) - o if row[1] else None
+
+    def images(x):
+        """The normal triples of g |- x and of x -| g, g ascending, for the
+        normal triple x = (u, c, v): (nf(gu), c, v) and (u, c, nf(vg))."""
+        t, mid, w = keys.split(x)
+        lv = t - mid
+        wu, rest = divmod(w, pw[lv + 1])
+        c, wv = divmod(rest, pw[lv])
+        top = keys.offset(t + 1) + (mid - 1) * pw[t + 1]
+        left = [word(mid, g * pw[mid - 1] + wu) for g in range(k)]
+        right = [word(lv + 1, wv * k + g) for g in range(k)]
+        # as KeyCodec.encode lays out [u' c v']@(|u'|+1) of degree t + 1
+        return ([None if a is None else top + pw[t + 1] + (a * k + c) * pw[lv] + wv
+                 for a in left]
+                + [None if b is None else top + (wu * k + c) * pw[lv + 1] + b for b in right])
+
+    relators: dict[int, list] = {}
+    for r in q.relators:
+        t = r.max_length()  # binomial relators are homogeneous
+        if t <= cap:
+            relators.setdefault(t, []).append([normal(keys.encode(x)) for x in r.terms])
+    basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
+    prev: list[int] = []
+    for t in range(1, cap + 1):
+        members = rows._triples(t)
+        index = {x: i for i, x in enumerate(members)}
+        find, union, killed = _union_find(len(members))
+
+        def join(a, b):
+            # a = b for normal triples a, b, either of them None for 0
+            if a is None:
+                if b is not None:
+                    killed[find(index[b])] = 1
+            elif b is None:
+                killed[find(index[a])] = 1
+            else:
+                union(index[a], index[b])
+
+        root_images: dict = {}
+        for x in prev:
+            row = m.get(x)
+            if row is None:  # a root: its class's other members carry the edges
+                continue
+            if row is _KILLED:
+                for y in images(x):
+                    join(y, None)
+                continue
+            (r,) = row[1]
+            ys = root_images.get(r)
+            if ys is None:
+                ys = root_images[r] = images(r)
+            for a, b in zip(images(x), ys):
+                join(a, b)
+        for terms in relators.get(t, ()):
+            join(terms[0], terms[-1] if len(terms) == 2 else None)
+        if q.schemes:
+            basis[t - 1] = [keys.split(x) for x in prev if x not in m]
+            for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
+                join(normal(m1), normal(m2))
+        _class_rows(m, members, find, killed, minus)
+        prev = members
+
+
+def _triple_elimination(q: Presentation, rows: TripleRows) -> None:
+    """M's rows for other homogeneous q, by elimination on normal
+    triples."""
+    keys, m = rows._keys, rows._m
+    p, cap, k = q.field.p, keys.cap, q.alphabet.size
+
     def images(x):
         # g |- x and x -| g: the middle blocks of KeyCodec.images
         return keys.images(x)[k:3 * k]
 
-    rows, users = {}, {}
+    users: dict = {}
     pend: list[list] = [[] for _ in range(cap + 1)]
     for r in q.relators:
         t = r.max_length()
@@ -95,31 +303,15 @@ def _bimodule_rows(q: Presentation, keys: KeyCodec) -> dict:
     basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
     for t in range(1, cap + 1):
         if q.schemes:
-            basis[t - 1] = [split(x) for x in _basis_keys_in(rows, offset(t - 1), offset(t))]
+            basis[t - 1] = [keys.split(x) for x in rows._triples(t - 1) if x not in m]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
                 pend[t].append(((m1, 1), (m2, -1)))
         for cand in pend[t]:
-            _, nf = _reduce_terms(normal(cand), rows, p)
+            _, nf = _reduce_terms(rows._normal_terms(cand), m, p)
             if nf:
-                piv = _insert_row(rows, users, nf, p)
+                piv = _insert_row(m, users, nf, p)
                 if t < cap:
-                    pend[t + 1] += _products(piv, rows[piv], images)
+                    pend[t + 1] += _products(piv, m[piv], images)
         # M's rows of degree t are final: no later pivot is in their tails
         pend[t] = None
         users.clear()
-        for x in range(offset(t), offset(t + 1)):
-            nf = tensor(x)
-            if nf is None:
-                continue
-            d, terms = nf
-            L, tail = _reduce_terms(terms, rows, p) if terms else (1, None)
-            if not tail:
-                rows[x] = _KILLED
-            elif p:
-                rows[x] = (1, {y: -c % p for y, c in tail.items()})
-            else:
-                # x - tail/(L*d), made primitive
-                d *= L
-                g = gcd(d, *tail.values())
-                rows[x] = (d // g, {y: -c // g for y, c in tail.items()})
-    return rows

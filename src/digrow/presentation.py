@@ -7,18 +7,24 @@ of the echelon rows are exactly the monomials that reduce; everything else
 is the basis.  Three engines build the same rows, and the input's shape
 picks one (_saturation_rows):
 
-- binomial input (homogeneous, every relator c*m or c*m1 - c*m2) takes a
-  union-find over the monomials of each degree, with no field arithmetic;
-- other homogeneous input in dialgebra mode takes the bimodule engine
-  (digrow.bimodule, imported on first use).  The axioms
+- homogeneous input in dialgebra mode takes the bimodule engine
+  (digrow.bimodule, imported on first use), unless it is binomial with an
+  A_D free below the cap.  The axioms
   (x -| y) |- z = (x |- y) |- z and x -| (y -| z) = x -| (y |- z) make the
   left factor of |- and the right factor of -| act only through their
   image in the associated associative algebra A_D.  So the monomial
   [u c v]@(|u|+1) = u |- c -| v is worked with as a triple (u, c, v) of
-  A_D (x) kX (x) A_D, the ideal is saturated on triples whose u and v are
-  A_D-normal, and a monomial whose u or v is not normal gets the row
-  [u c v] - nf(u) c nf(v), reduced against the rest;
-- everything else, inhomogeneous input and associative mode, takes
+  A_D (x) kX (x) A_D.  The engine stores A_D's rows and the rows of M,
+  the sub-bimodule the relators and scheme instances generate, on triples
+  whose u and v are A_D-normal: by a union-find for binomial input, whose
+  A_D is binomial too, and by elimination otherwise.  A monomial whose u
+  or v is not normal has the row [u c v] - nf(u) c nf(v), reduced against
+  M, computed whenever it is read (bimodule.TripleRows);
+- other binomial input (homogeneous, every relator c*m or c*m1 - c*m2),
+  that is associative mode and dialgebra input whose A_D has no relation
+  below the cap, takes a union-find over the monomials of each degree,
+  with no field arithmetic;
+- everything else, inhomogeneous input and other associative input, takes
   elimination: seed rows, then close under multiplication by single
   generators on both sides under both products, reducing every candidate
   as it arrives.
@@ -37,6 +43,7 @@ import gc
 import hashlib
 import json
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
@@ -463,19 +470,58 @@ def _binomial(q: Presentation) -> bool:
     )
 
 
+def _union_find(size: int):
+    """(find, union, killed) over the positions 0..size-1: each class is
+    rooted at its smallest position, and killed[root] marks a killed
+    class; union keeps the kill of either side."""
+    parent = list(range(size))
+    killed = bytearray(size)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            killed[a] |= killed[b]
+
+    return find, union, killed
+
+
+def _class_rows(rows: dict, members, find, killed, minus: int) -> None:
+    """Store the rows of one degree's classes, members[i] at position i
+    and members ascending: _KILLED for every member of a killed class,
+    and for every other member m of a live class the row
+    m + (1, {root: minus}), shared by its class.  A root has none."""
+    # a root is its class's smallest key, so its tail exists before any
+    # other member comes up
+    shared: dict = {}
+    for i, x in enumerate(members):
+        r = find(i)
+        if killed[r]:
+            rows[x] = _KILLED
+        elif r != i:
+            rows[x] = shared[r]
+        else:
+            shared[r] = (1, {x: minus})
+
+
 def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
     """The rows _elimination_rows(q, keys) returns, for binomial q.
 
-    Degree by degree, a union-find over the keys of that degree (see
-    KeyCodec), so key order is monomial order.  Each class is rooted at its
-    smallest key and may be killed.  The ideal at degree t is spanned by the
-    differences inside each class and the monomials of killed classes; its
-    reduced echelon form has the kernel row m + (1, {root: -1}) for every
-    other member m of a live class (-1 read mod p over GF(p)) and
-    m + _KILLED for every member of a killed one.  Members of one class
-    share one row; a root has none.  Classes at degree t come from the
-    single-generator images of the rows at degree t - 1, read back from
-    rows, the relators of length t and the scheme instances of total degree t.
+    Degree by degree, a union-find (_union_find) over the keys of that
+    degree (see KeyCodec), so key order is monomial order.  The ideal at
+    degree t is spanned by the differences inside each class and the
+    monomials of killed classes; its reduced echelon form has the kernel
+    rows _class_rows stores (-1 read mod p over GF(p)).  Classes at degree
+    t come from the single-generator images of the rows at degree t - 1,
+    read back from rows, the relators of length t and the scheme instances
+    of total degree t.
     """
     p, cap, images, offset = q.field.p, keys.cap, keys.images, keys.offset
     minus = -1 % p if p else -1
@@ -490,23 +536,7 @@ def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
     for t in range(1, cap + 1):
         off = offset(t)
         size = offset(t + 1) - off
-        parent = list(range(size))
-        killed = bytearray(size)
-
-        def find(x):
-            # x is a key of degree t; returns its root's index x - off
-            p = x - off
-            while parent[p] != p:
-                parent[p] = p = parent[parent[p]]
-            return p
-
-        def union(a, b):
-            a, b = find(a), find(b)
-            if a != b:
-                if a > b:
-                    a, b = b, a
-                parent[b] = a
-                killed[a] |= killed[b]
+        find, union, killed = _union_find(size)
 
         root_images: dict = {}
         for x in range(offset(t - 1), off):
@@ -515,52 +545,63 @@ def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
                 continue
             if row is _KILLED:
                 for y in images(x):
-                    killed[find(y)] = 1
+                    killed[find(y - off)] = 1
                 continue
             (r,) = row[1]
             ys = root_images.get(r)
             if ys is None:
                 ys = root_images[r] = images(r)
             for a, b in zip(images(x), ys):
-                union(a, b)
+                union(a - off, b - off)
         for terms in relators.get(t, ()):
             if len(terms) == 1:
-                killed[find(terms[0])] = 1
+                killed[find(terms[0] - off)] = 1
             else:
-                union(*terms)
+                union(terms[0] - off, terms[1] - off)
         if q.schemes:
             basis[t - 1] = [keys.split(x) for x in _basis_keys_in(rows, offset(t - 1), off)]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
-                union(m1, m2)
-
-        # a root is its class's smallest key, so its tail exists before any
-        # other member comes up
-        shared: dict = {}
-        for x in range(off, off + size):
-            r = find(x)
-            if killed[r]:
-                rows[x] = _KILLED
-            elif r != x - off:
-                rows[x] = shared[r]
-            else:
-                shared[r] = (1, {x: minus})
+                union(m1 - off, m2 - off)
+        _class_rows(rows, range(off, off + size), find, killed, minus)
     return rows
 
 
-def _saturation_rows(q: Presentation, keys: KeyCodec) -> dict:
-    """The kernel rows of q up to keys.cap, from the engine q's shape
-    routes to: binomial input to _congruence_rows, other homogeneous
-    dialgebra input to bimodule._bimodule_rows, everything else to
-    _elimination_rows.  All three give the same rows."""
-    if _binomial(q):
-        return _congruence_rows(q, keys)
-    if q.homogeneous and not keys.associative:
-        # imported here, not at the top: compiling the module at start-up
-        # would cost every other run about 0.4 MiB of peak memory
-        from . import bimodule
+def _free_below(q: Presentation, cap: int) -> bool:
+    """True when A_D, the associated associative algebra of q, has no
+    relation among words shorter than cap: it has no relator of length
+    < cap, and no identity scheme over two or more letters once cap > 2,
+    since a scheme makes the words of length 2 commute there."""
+    a = associated_associative(q)
+    return (all(r.max_length() >= cap for r in a.relators)
+            and not (a.schemes and q.alphabet.size > 1 and cap > 2))
 
-        return bimodule._bimodule_rows(q, keys)
-    return _elimination_rows(q, keys)
+
+def _saturation_rows(q: Presentation, keys: KeyCodec):
+    """The kernel rows of q up to keys.cap, from the engine q's shape
+    routes to.  Homogeneous dialgebra input goes to bimodule._bimodule_rows
+    (which returns a bimodule.TripleRows), except binomial input whose A_D
+    is free below the cap: there the triples are all the monomials, and
+    _congruence_rows is faster.  Other binomial input goes to
+    _congruence_rows, and everything else to _elimination_rows.  All give
+    the same rows."""
+    binomial = _binomial(q)
+    if keys.associative or not q.homogeneous or (binomial and _free_below(q, keys.cap)):
+        return _congruence_rows(q, keys) if binomial else _elimination_rows(q, keys)
+    # imported here, not at the top: compiling the module at start-up
+    # would cost every other run about 0.4 MiB of peak memory
+    from . import bimodule
+
+    return bimodule._bimodule_rows(q, keys)
+
+
+def _pivot_counts(rows, keys: KeyCodec, n: int) -> list[int]:
+    """How many pivots rows holds at each degree 1..n: counted from the
+    sorted keys of a dict, by a bimodule.TripleRows itself."""
+    if not isinstance(rows, dict):
+        return rows.pivot_counts(n)
+    pivots = sorted(rows)
+    starts = [bisect_left(pivots, keys.offset(t)) for t in range(1, n + 2)]
+    return [b - a for a, b in zip(starts, starts[1:])]
 
 
 # ===== basis tables ========================================================
@@ -574,9 +615,15 @@ class BasisTable:
     other monomial of length <= degree_bound.  exact is False when
     inhomogeneous relators force truncation, in which case the stored span
     is a lower bound on the ideal and the basis an upper bound.  The rows
-    are stored as kernel rows {key: (d, tail)} (see KeyCodec and
+    are held as kernel rows {key: (d, tail)} (see KeyCodec and
     _reduce_terms) and decoded to Disequence and field values only when
-    read.  Only this module reads the kernel rows; the verify checks work on
+    read.  _rows is the dict an engine stored, or, for a table the
+    bimodule engine built, a read-only bimodule.TripleRows that stores
+    A_D's rows and M's and computes the row of any other pivot when it is
+    read; both answer get, in and iteration alike, and counts_by_degree
+    takes the pivots per degree from _pivot_counts, which a TripleRows
+    answers without visiting its pivots.  Only this module and
+    digrow.bimodule read the kernel rows; the verify checks work on
     keys through _basis_keys and _reduce and decode only what they print.
     basis decodes _basis_keys, and the basis and pivot literals of
     to_json_dict and the basis verb are formatted from keys by _literals,
@@ -594,7 +641,7 @@ class BasisTable:
     homogeneous: bool
     fingerprint: str
     _codec: KeyCodec | None
-    _rows: dict
+    _rows: Mapping
 
     @property
     def _keys(self) -> KeyCodec:
@@ -648,13 +695,10 @@ class BasisTable:
 
     def counts_by_degree(self) -> list[int]:
         """Basis size per degree 1..degree_bound, no materialization needed."""
-        k, associative = self.alphabet.size, self.mode == ASSOCIATIVE
-        counts = [universe_count(k, t, associative) for t in range(1, self.degree_bound + 1)]
+        k, associative, n = self.alphabet.size, self.mode == ASSOCIATIVE, self.degree_bound
+        counts = [universe_count(k, t, associative) for t in range(1, n + 1)]
         if self._rows:
-            pivots, offset = sorted(self._rows), self._keys.offset
-            starts = [bisect_left(pivots, offset(t)) for t in range(1, self.degree_bound + 2)]
-            for t in range(1, self.degree_bound + 1):
-                counts[t - 1] -= starts[t] - starts[t - 1]
+            counts = [c - d for c, d in zip(counts, _pivot_counts(self._rows, self._keys, n))]
         return counts
 
     def _literals(self, keys: list[int]) -> list[str]:
@@ -708,14 +752,17 @@ def basis_upto(
     """Saturate, echelonize, and report pivots and basis up to degree n.
 
     Works on pres itself in dialgebra mode and on its associative image in
-    associative mode, through degree n + slack.  Binomial input takes the
-    congruence engine.  Other homogeneous input in dialgebra mode takes the
-    bimodule engine: by the axioms (x -| y) |- z = (x |- y) |- z and
-    x -| (y -| z) = x -| (y |- z), u and v act on [u c v]@(|u|+1) only
-    through their image in A_D, so it saturates on triples (u, c, v) with
-    u and v A_D-normal and gives every other monomial the row
-    [u c v] - nf(u) c nf(v), reduced against those.  Everything else takes
-    elimination.  All three give the same rows.
+    associative mode, through degree n + slack, and trims the rows past
+    degree n.  Homogeneous input in dialgebra mode takes the bimodule
+    engine, unless it is binomial and its A_D free below n + slack: by the
+    axioms (x -| y) |- z = (x |- y) |- z and x -| (y -| z) = x -| (y |- z),
+    u and v act on [u c v]@(|u|+1) only through their image in A_D, so it
+    saturates M on triples (u, c, v) with u and v A_D-normal, by a
+    union-find on binomial input and by elimination otherwise.  Every
+    other monomial has the row [u c v] - nf(u) c nf(v), reduced against M,
+    and the table computes that row whenever it is read.  Other binomial
+    input takes the congruence engine, and everything else elimination.
+    All three give the same rows.
     """
     mode = _norm_mode(mode)
     check_degree_bound(n)
@@ -756,8 +803,11 @@ def basis_upto(
                 gc.enable()
     if eff and rows:
         # rows reach degree n + eff; only slack puts them beyond n
-        end = keys.offset(n + 1)
-        rows = {piv: row for piv, row in rows.items() if piv < end}
+        if isinstance(rows, dict):
+            end = keys.offset(n + 1)
+            rows = {piv: row for piv, row in rows.items() if piv < end}
+        else:
+            rows = rows.below(n)
     return BasisTable(pres.alphabet, pres.field, mode, n, eff, q.homogeneous,
                       pres.fingerprint, keys, rows)
 

@@ -132,6 +132,7 @@ def test_every_shipped_fixture_parses():
 
 FREE_A = fixture_path("free_a")
 FREE_AB = fixture_path("free_ab")
+COMM_A = fixture_path("comm_a")
 COMM_AB = fixture_path("comm_ab")
 INHOMOG = fixture_path("inhomog_ab")
 ZERO = fixture_path("zero_a")
@@ -248,20 +249,32 @@ def test_verify_commutative_fixture(capsys):
 
 
 def test_verify_saturates_each_mode_once(capsys, monkeypatch):
-    # every saturation runs one of the two engines behind basis_upto
+    # every saturation runs one of the engines behind basis_upto
+    from digrow import bimodule
+
     calls = []
 
     def counting(engine):
         def wrapped(q, keys):
-            calls.append(ASSOCIATIVE if keys.associative else DIALGEBRA)
+            calls.append((engine.__name__, ASSOCIATIVE if keys.associative else DIALGEBRA,
+                          keys.cap))
             return engine(q, keys)
         return wrapped
 
-    for name in ("_congruence_rows", "_elimination_rows"):
-        monkeypatch.setattr(presentation, name, counting(getattr(presentation, name)))
+    for module, name in ((presentation, "_congruence_rows"), (presentation, "_elimination_rows"),
+                         (bimodule, "_bimodule_rows")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    code, _, _ = run(capsys, "verify", COMM_A, "--max-degree", "5")
+    assert code == 0
+    assert sorted(calls) == [("_congruence_rows", ASSOCIATIVE, 5),
+                             ("_congruence_rows", DIALGEBRA, 5)]
+    # the bimodule engine saturates A_D itself, one degree below its cap
+    calls.clear()
     code, _, _ = run(capsys, "verify", COMM_AB, "--max-degree", "5")
     assert code == 0
-    assert sorted(calls) == [ASSOCIATIVE, DIALGEBRA]
+    assert sorted(calls) == [("_bimodule_rows", DIALGEBRA, 5),
+                             ("_congruence_rows", ASSOCIATIVE, 4),
+                             ("_congruence_rows", ASSOCIATIVE, 5)]
 
 
 def test_verify_and_checks_read_keys_not_the_basis(capsys, monkeypatch):
@@ -466,33 +479,48 @@ def test_unprintable_relator_free_table_exits_3(capsys):
                    "lower the degree\n")
 
 
+def child_peak(body):
+    """stdout and ru_maxrss (KiB) of a process running body.  A small
+    launcher starts it: a child forked from the test process would inherit
+    the test process's high-water mark."""
+    src = str(Path(digrow.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    launcher = ("import resource, subprocess, sys\n"
+                f"subprocess.run([sys.executable, '-c', {body!r}], check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
+                "file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True,
+                          text=True, env=env, check=True)
+    return proc.stdout, int(proc.stderr.split()[-1])
+
+
 def test_relator_free_counts_build_no_key_table():
     # the counts of a relator-free table come from universe_count; the
     # KeyCodec up to degree 14000 (two lists of big ints, about 24 MiB)
     # is never built
-    src = str(Path(digrow.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-    def peak(body):
-        """stdout and ru_maxrss (KiB) of a process running body.  A small
-        launcher starts it: a child forked from this test process would
-        inherit the test process's high-water mark."""
-        launcher = ("import resource, subprocess, sys\n"
-                    f"subprocess.run([sys.executable, '-c', {body!r}], check=True)\n"
-                    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
-                    "file=sys.stderr)\n")
-        proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True,
-                              text=True, env=env, check=True)
-        return proc.stdout, int(proc.stderr.split()[-1])
-
-    _, bare = peak("import digrow.cli")
-    out, used = peak(f"from digrow.cli import main\n"
-                     f"main(['gk', {str(FREE_AB)!r}, '--mode', 'assoc', '--max-degree', '14000'])")
+    _, bare = child_peak("import digrow.cli")
+    out, used = child_peak(f"from digrow.cli import main\n"
+                           f"main(['gk', {FREE_AB!r}, '--mode', 'assoc', '--max-degree', '14000'])")
     assert out == ("classification: superpolynomial\nslope: 5418.7412\n"
                    "window: 3500:14000\nresidual: 362.090708\n")
     # the per-degree and cumulative counts alone take about 24 MiB
     assert used - bare < 36 * 1024, (bare, used)
+
+
+def test_triple_tables_reach_degree_16():
+    # comm_ab's dialgebra table to degree 16 stores A_D's rows to degree 15
+    # and M's rows on its 7,752 normal triples; a stored row for each of
+    # its 1,966,082 monomials would take about 180 MiB
+    _, bare = child_peak("import digrow.cli")
+    out, used = child_peak(f"from digrow.cli import main\n"
+                           f"main(['growth', {COMM_AB!r}, '--force', '--max-degree', '16', "
+                           f"'--format', 'csv'])")
+    counts = [2, 6, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17]
+    cumulative = [sum(counts[:t]) for t in range(1, 17)]
+    assert out == "n,count_n,cumulative_n,mode\n" + "".join(
+        f"{t},{c},{s},dialgebra\n" for t, c, s in zip(range(1, 17), counts, cumulative))
+    assert used - bare < 40 * 1024, (bare, used)
 
 
 def test_csv_rejected_before_any_work(capsys, monkeypatch):
@@ -603,13 +631,15 @@ def test_bimodule_engine_is_imported_only_when_routed(tmp_path):
     script = (
         "import sys\n"
         "from digrow.cli import main\n"
-        f"for path in {[COMM_AB, INHOMOG, FREE_AB]!r}:\n"
+        f"for path in {[COMM_A, INHOMOG, FREE_AB]!r}:\n"
         "    for mode in ('dialgebra', 'assoc'):\n"
         "        assert main(['growth', path, '--max-degree', '4', '--mode', mode]) == 0\n"
-        f"assert main(['growth', {str(dense)!r}, '--max-degree', '4', '--mode', 'assoc']) == 0\n"
+        f"for path in {[COMM_AB, str(dense)]!r}:\n"
+        "    assert main(['growth', path, '--max-degree', '4', '--mode', 'assoc']) == 0\n"
         "assert 'digrow.bimodule' not in sys.modules\n"
-        f"assert main(['growth', {str(dense)!r}, '--max-degree', '4']) == 0\n"
+        f"assert main(['growth', {COMM_AB!r}, '--max-degree', '4']) == 0\n"
         "assert 'digrow.bimodule' in sys.modules\n"
+        f"assert main(['growth', {str(dense)!r}, '--max-degree', '4']) == 0\n"
     )
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -27,10 +27,12 @@ from digrow.presentation import (
     DIALGEBRA,
     MATERIALIZE_CAP,
     SCHEME_TAGS,
+    BasisTable,
     Presentation,
     _binomial,
     _congruence_rows,
     _elimination_rows,
+    _free_below,
     _insert_row,
     _integer_terms,
     _key_scheme_pair,
@@ -43,7 +45,7 @@ from digrow.presentation import (
     prefix_suffix_check,
 )
 from digrow import fixture_path
-from digrow.bimodule import _bimodule_rows
+from digrow.bimodule import TripleRows, _bimodule_rows
 from digrow.growth import special_basis_check
 
 A = Alphabet.of("a")
@@ -547,6 +549,70 @@ def test_bimodule_rows_match_elimination_on_dense_relators(relator, field):
 
 
 @st.composite
+def triple_binomial_presentations(draw):
+    """Binomial presentations over 2 or 3 letters, Q or GF(7): relators
+    +-([w]@i - [w']@j) and +-[w]@i of length 2 to 4, any identity schemes.
+    Dialgebra mode hands those whose A_D is not free below the cap to the
+    union-find on normal triples."""
+    k = draw(st.integers(2, 3))
+    alphabet = Alphabet(tuple("abc"[:k]))
+    field = draw(st.sampled_from([QQ, GF7]))
+
+    def mono(length):
+        word = bytes(draw(st.integers(0, k - 1)) for _ in range(length))
+        return Disequence(alphabet, word, draw(st.integers(1, length)))
+
+    relators = []
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(2, 4))
+        m1, m2 = mono(length), mono(length)
+        c = field.coerce(draw(st.sampled_from([1, -1])))
+        terms = {m1: c} if m1 == m2 or draw(st.booleans()) else {m1: c, m2: field.coerce(-c)}
+        relators.append(DiElement(alphabet, field, terms))
+    schemes = draw(st.lists(st.sampled_from(SCHEME_TAGS), unique=True, max_size=3))
+    return Presentation(alphabet, field, tuple(relators), tuple(schemes))
+
+
+def table_from_rows(pres, n, slack, engine):
+    """The dialgebra table basis_upto(pres, n, slack=slack) reads, built
+    from the rows engine(pres, keys) stores, trimmed to degree n."""
+    keys = KeyCodec(pres.alphabet, n + slack)
+    end = keys.offset(n + 1)
+    rows = {piv: row for piv, row in engine(pres, keys).items() if piv < end}
+    return BasisTable(pres.alphabet, pres.field, DIALGEBRA, n, slack, True, pres.fingerprint,
+                      keys, rows)
+
+
+@given(st.one_of(triple_binomial_presentations(), routed_presentations()),
+       st.sampled_from([None, 1, 2]), st.data())
+def test_triple_tables_read_as_stored_rows(pres, slack, data):
+    # every public read of a table whose rows are computed on read, against
+    # a table of the rows the congruence or elimination engine stores
+    n = {1: 5, 2: 4, 3: 3}[pres.alphabet.size]
+    binomial = _binomial(pres)
+    assume(not (binomial and _free_below(pres, n + (slack or 0))))
+    table = basis_upto(pres, n, slack=slack)
+    assert isinstance(table._rows, TripleRows)
+    ref = table_from_rows(pres, n, slack or 0, _congruence_rows if binomial else _elimination_rows)
+    assert table.rows == ref.rows
+    assert table.pivots == ref.pivots
+    assert table.basis == ref.basis
+    assert table.counts_by_degree() == ref.counts_by_degree()
+    assert table.to_json() == ref.to_json()
+    monos = [m for t in range(1, n + 2) for m in monomials(pres.alphabet, t)]
+    assert [m in table for m in monos] == [m in ref for m in monos]
+    monos = [m for m in monos if len(m.word) <= n]
+    for m in monos:
+        x = DiElement.monomial(m, field=pres.field)
+        assert normal_form(x, table) == normal_form(x, ref)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(monos), st.integers(-3, 3)), max_size=4))
+    x = DiElement.zero(pres.alphabet, pres.field)
+    for m, c in terms:
+        x = x + DiElement.monomial(m, c, pres.field)
+    assert normal_form(x, table) == normal_form(x, ref)
+
+
+@st.composite
 def truncated_presentations_with_slack(draw):
     """truncated_presentations with a file slack of None, 0, 1 or 2: their
     associative image c*m is homogeneous, the dialgebra input is not."""
@@ -557,14 +623,17 @@ def truncated_presentations_with_slack(draw):
 
 def engine_calls(monkeypatch, pres, n, mode):
     """The engines basis_upto(pres, n, mode) calls, in order, as
-    (name, associative) pairs: the bimodule engine calls one more for A_D."""
+    (name, associative) pairs: the bimodule engine calls one for A_D, then
+    one for M."""
     from digrow import bimodule, presentation
 
     calls = []
     for module, name in ((presentation, "_congruence_rows"), (presentation, "_elimination_rows"),
-                         (bimodule, "_bimodule_rows")):
+                         (bimodule, "_bimodule_rows"), (bimodule, "_triple_congruence"),
+                         (bimodule, "_triple_elimination")):
         def wrapped(q, keys, _name=name, _engine=getattr(module, name)):
-            calls.append((_name[1:-5], keys.associative))
+            # the M engines take the TripleRows they fill
+            calls.append((_name[1:].removesuffix("_rows"), getattr(keys, "_keys", keys).associative))
             return _engine(q, keys)
 
         monkeypatch.setattr(module, name, wrapped)
@@ -574,16 +643,27 @@ def engine_calls(monkeypatch, pres, n, mode):
 
 
 def test_routing_picks_the_engine_by_input_shape(monkeypatch):
-    # binomial input: union-find
-    assert engine_calls(monkeypatch, fixture("comm_ab"), 4, DIALGEBRA) == [("congruence", False)]
+    # binomial input whose A_D is not free below the cap: the union-find on
+    # normal triples, after A_D's own engine
+    on_triples = [("bimodule", False), ("congruence", True), ("triple_congruence", False)]
+    assert engine_calls(monkeypatch, fixture("comm_ab"), 4, DIALGEBRA) == on_triples
+    assert engine_calls(monkeypatch, fixture("zero_a"), 3, DIALGEBRA) == on_triples
+    # a free A_D: the triples are all the monomials, so the union-find on
+    # monomials; comm_ab's commutativity only reaches A_D's words from cap 3
+    for name in ("comm_a", "cross_a", "middle_cap_a"):
+        assert engine_calls(monkeypatch, fixture(name), 4, DIALGEBRA) == [("congruence", False)]
+    assert engine_calls(monkeypatch, fixture("comm_ab"), 2, DIALGEBRA) == [("congruence", False)]
+    cube = Presentation(A, QQ, (E("[a a a]@1", A),))
+    assert engine_calls(monkeypatch, cube, 3, DIALGEBRA) == [("congruence", False)]
+    assert engine_calls(monkeypatch, cube, 4, DIALGEBRA) == on_triples
     # homogeneous, non-binomial dialgebra input: the bimodule, whose A_D
     # goes to its associative engine
     for field in (QQ, GF32003):
         assert engine_calls(monkeypatch, dense(field), 4, DIALGEBRA) == [
-            ("bimodule", False), ("elimination", True)]
+            ("bimodule", False), ("elimination", True), ("triple_elimination", False)]
     comm_dense = Presentation(AB, QQ, dense(QQ).relators, ("lcomm",))
     assert engine_calls(monkeypatch, comm_dense, 4, DIALGEBRA) == [
-        ("bimodule", False), ("elimination", True)]
+        ("bimodule", False), ("elimination", True), ("triple_elimination", False)]
     # inhomogeneous input stays on elimination, even where its associative
     # image is homogeneous: truncated elimination can miss rows the bimodule
     # has (see test_prefix_suffix_truncation_violations_golden)

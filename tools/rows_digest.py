@@ -1,4 +1,4 @@
-"""Seeded digest of decoded rows, counts and normal forms of non-binomial
+"""Seeded digest of decoded rows, counts and normal forms of seeded
 presentations.
 
     PYTHONPATH=src python3 tools/rows_digest.py [--count 600] [--seed 1]
@@ -6,12 +6,18 @@ presentations.
 Draws `count` presentations whose relators have two or three terms of
 mixed lengths and coefficients such as 1/2, -2/3, 5 and 7/3, over Q,
 GF(7) and GF(32003), with random identity schemes and slack, and
-saturates each in both modes.  Every decoded row, the decoded basis, the
-per-degree counts and the normal form of one seeded element go into a
-sha256 digest, printed on the last line; a tally of the draws goes to
-stderr.  Every draw is non-binomial in dialgebra mode, so the homogeneous
-ones (all but the "inhomogeneous" count) take the bimodule engine there;
-"associative image homogeneous" counts the draws whose A_D is exact.
+saturates each in both modes.  Then, from the same seeded stream, it draws
+`count` // 2 binomial presentations: relators +-([w]@i - [w']@j) and
++-[w]@i of length 1 to 4 over 1 to 3 letters, random identity schemes,
+and no explicit table slack, or one of 1 or 2.  Every decoded row, the decoded
+basis, the per-degree counts and the normal form of one seeded element go
+into a sha256 digest, printed on the last line; a tally of the draws goes
+to stderr.  The first draws are non-binomial in dialgebra mode, so the
+homogeneous ones (all but the "inhomogeneous" count) take the bimodule
+engine there; "associative image homogeneous" counts the draws whose A_D
+is exact.  "triple union-find" counts the binomial draws whose dialgebra
+table takes the union-find on A_D-normal triples, the others take the one
+on monomials.
 Only the public API is used (`basis_upto`, `BasisTable.rows`,
 `BasisTable.basis`, `counts_by_degree`, `normal_form`), so two checkouts
 that print the same digest compute the same tables.
@@ -44,6 +50,7 @@ from digrow import (
 FIELDS = (QQ, QQ, PrimeField(7), PrimeField(32003))
 COEFFS = tuple(map(Fraction, ("1", "-1", "2", "-3", "5", "1/2", "-2/3", "7/3", "-5/4")))
 SCHEMES = ("lcomm", "rcomm", "cross")
+DEGREE = (0, 5, 4, 3)  # table degree bound by alphabet size
 
 
 def binomial(q: Presentation) -> bool:
@@ -90,13 +97,38 @@ def presentation(rng) -> Presentation:
                 return pres
 
 
-def lines_of(pres: Presentation, rng):
+def binomial_presentation(rng) -> Presentation:
+    """A seeded binomial presentation."""
+    k = rng.randint(1, 3)
+    alphabet = Alphabet(tuple("abc"[:k]))
+    field = rng.choice(FIELDS)
+    relators = []
+    for _ in range(rng.randint(0, 3)):
+        length = rng.randint(1, 4)
+        m1, m2 = monomial(rng, alphabet, length), monomial(rng, alphabet, length)
+        c = field.coerce(rng.choice((1, -1)))
+        terms = {m1: c} if m1 == m2 or rng.random() < 0.3 else {m1: c, m2: field.coerce(-c)}
+        relators.append(DiElement(alphabet, field, terms))
+    schemes = tuple(t for t in SCHEMES if rng.random() < 0.4)
+    return Presentation(alphabet, field, tuple(relators), schemes)
+
+
+def triple_union_find(pres: Presentation, cap: int) -> bool:
+    """The routing predicate of the union-find on A_D-normal triples, for
+    a dialgebra table saturated to cap: binomial input whose A_D has a
+    relator shorter than cap, or a scheme over two or more letters and
+    words of length 2 below cap."""
+    assoc = associated_associative(pres)
+    return binomial(pres) and (any(r.max_length() < cap for r in assoc.relators)
+                               or bool(assoc.schemes) and pres.alphabet.size > 1 and cap > 2)
+
+
+def lines_of(pres: Presentation, rng, slack=None):
     """Text lines of one presentation's tables, both modes."""
-    k = pres.alphabet.size
-    n = 5 if k == 1 else 4
+    n = DEGREE[pres.alphabet.size]
     yield pres.canonical_text()
     for mode in (DIALGEBRA, ASSOCIATIVE):
-        table = basis_upto(pres, n, mode)
+        table = basis_upto(pres, n, mode, slack)
         yield f"{mode} slack {table.slack} counts {table.counts_by_degree()}"
         for piv, row in table.rows.items():
             yield f"{piv.format()}: {row.format()}"
@@ -125,8 +157,17 @@ def main(argv=None) -> int:
         tally["associative image homogeneous"] += assoc.homogeneous
         for line in lines_of(pres, rng):
             digest.update(line.encode() + b"\n")
+    for _ in range(args.count // 2):
+        pres = binomial_presentation(rng)
+        slack = rng.choice((None, 1, 2))
+        tally["binomial " + pres.field.name] += 1
+        tally["triple union-find"] += triple_union_find(pres, DEGREE[pres.alphabet.size]
+                                                        + (slack or 0))
+        digest.update(f"slack {slack}\n".encode())
+        for line in lines_of(pres, rng, slack):
+            digest.update(line.encode() + b"\n")
     elapsed = time.perf_counter() - start
-    print(f"{args.count} presentations (seed {args.seed}): "
+    print(f"{args.count} + {args.count // 2} binomial presentations (seed {args.seed}): "
           + ", ".join(f"{key} {tally[key]}" for key in sorted(tally)), file=sys.stderr)
     print(f"{elapsed:.1f} s", file=sys.stderr)
     print(digest.hexdigest())
