@@ -11,10 +11,12 @@ from collections.abc import Mapping
 from copy import copy
 from math import gcd, lcm
 
+from . import completion
 from .monomial import KeyCodec
 from .presentation import (
     _KILLED,
     Presentation,
+    _basis_keys_in,
     _binomial,
     _class_rows,
     _insert_row,
@@ -22,7 +24,6 @@ from .presentation import (
     _pivot_counts,
     _products,
     _reduce_terms,
-    _saturation_rows,
     _scheme_instances,
     _union_find,
     associated_associative,
@@ -34,10 +35,10 @@ class TripleRows(Mapping):
     held as A_D's normal forms and M's rows only.
 
     The key [u c v]@(|u|+1) is the triple (u, c, v); it is normal when u
-    and v are normal words of A = A_D, whose rows one degree below the
-    codec's cap this holds.  M, the sub-bimodule of A (x) kX (x) A that the
-    relators and scheme instances generate, has its rows on normal
-    triples; _bimodule_rows fills them in.  Every other key m = (u, c, v)
+    and v are normal words of A = A_D, whose rules (a completion.RuleRows)
+    one degree below the codec's cap this holds.  M, the sub-bimodule of
+    A (x) kX (x) A that the relators and scheme instances generate, has its
+    rows on normal triples; _bimodule_rows fills them in.  Every other key m = (u, c, v)
     up to degree top is a pivot too, with the row m - nf(u) c nf(v)
     reduced against M.  Its pivot is m, since nf(u) and nf(v) hold smaller
     words of the same length, so these rows and M's are the reduced
@@ -47,7 +48,7 @@ class TripleRows(Mapping):
 
     __slots__ = ("_keys", "_arows", "_aoff", "_p", "_m", "_top", "_end", "_pow", "_normal")
 
-    def __init__(self, keys: KeyCodec, akeys: KeyCodec, arows: dict, p: int):
+    def __init__(self, keys: KeyCodec, akeys: KeyCodec, arows: completion.RuleRows, p: int):
         self._keys, self._arows, self._p = keys, arows, p
         self._m: dict = {}
         self._top, self._end = keys.cap, keys.offset(keys.cap + 1)
@@ -57,8 +58,7 @@ class TripleRows(Mapping):
         # the empty word has none, and -1 is in no row
         self._aoff = [-1] + [akeys.offset(t) for t in range(1, keys.cap)]
         # _normal[l]: the word values of A's normal words of length l
-        self._normal = [[w for w in range(self._pow[t]) if self._aoff[t] + w not in arows]
-                        for t in range(keys.cap)]
+        self._normal = [arows.normal_words(t) for t in range(keys.cap)]
 
     def below(self, top: int) -> TripleRows:
         """These rows without those of degree above top."""
@@ -121,6 +121,18 @@ class TripleRows(Mapping):
                     out += [base + wv for wv in vs]
         return out
 
+    def basis_keys(self, start: int, stop: int) -> list[int]:
+        """The keys in range(start, stop) that these rows leave in the
+        basis, stop at most offset(top + 1): the normal triples less M's
+        pivots."""
+        offset, m, out = self._keys.offset, self._m, []
+        for t in range(1, self._top + 1):
+            if offset(t) >= stop:
+                break
+            if offset(t + 1) > start:
+                out += [x for x in self._triples(t) if start <= x < stop and x not in m]
+        return out
+
     def get(self, x: int, default=None):
         row = self._m.get(x)
         if row is not None:
@@ -177,16 +189,16 @@ def _bimodule_rows(q: Presentation, keys: KeyCodec) -> TripleRows:
     """The rows _elimination_rows(q, keys) returns, for homogeneous
     dialgebra input, as a TripleRows.
 
-    A's table of degree cap - 1 comes first.  Degree by degree, M is then
-    saturated on normal triples: every candidate is written as a sum of
-    nf(u) c nf(v) first, and only g |- . and . -| g are applied, since the
-    two middle-forgetting maps vanish on M.  Scheme instances range over
-    the normal triples M leaves in the basis.  Binomial q takes a
-    union-find (_triple_congruence), other q elimination
-    (_triple_elimination).
+    A's rules to degree cap - 1 come first (completion._rule_rows).
+    Degree by degree, M is then saturated on normal triples: every
+    candidate is written as a sum of nf(u) c nf(v) first, and only g |- .
+    and . -| g are applied, since the two middle-forgetting maps vanish on
+    M.  Scheme instances range over the normal triples M leaves in the
+    basis.  Binomial q takes a union-find (_triple_congruence), other q
+    elimination (_triple_elimination).
     """
     akeys = KeyCodec(q.alphabet, keys.cap - 1, True)
-    arows = _saturation_rows(associated_associative(q), akeys)
+    arows = completion._rule_rows(associated_associative(q), akeys)
     rows = TripleRows(keys, akeys, arows, q.field.p)
     (_triple_congruence if _binomial(q) else _triple_elimination)(q, rows)
     return rows
@@ -303,7 +315,8 @@ def _triple_elimination(q: Presentation, rows: TripleRows) -> None:
     basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
     for t in range(1, cap + 1):
         if q.schemes:
-            basis[t - 1] = [keys.split(x) for x in rows._triples(t - 1) if x not in m]
+            basis[t - 1] = [keys.split(x) for x in _basis_keys_in(rows, keys.offset(t - 1),
+                                                                  keys.offset(t))]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
                 pend[t].append(((m1, 1), (m2, -1)))
         for cand in pend[t]:

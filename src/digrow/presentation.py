@@ -4,9 +4,17 @@ A presentation is an alphabet, a scalar field, a list of relators and a list
 of identity schemes.  The ideal the relators and schemes generate is built
 degree by degree into a fully inter-reduced echelon set.  Pivot monomials
 of the echelon rows are exactly the monomials that reduce; everything else
-is the basis.  Three engines build the same rows, and the input's shape
+is the basis.  Four engines build the same rows, and the input's shape
 picks one (_saturation_rows):
 
+- homogeneous input in associative mode takes the rules engine
+  (digrow.completion, imported on first use): a homogeneous Buchberger run,
+  degree by degree up to the cap, gives the reduced Gröbner-Shirshov basis
+  truncated there, which is exact through the cap.  The table stores the
+  rules only.  A word that contains a leading word has the row
+  w - nf(w), rewritten by the rules and memoized when it is read, and the
+  normal words are listed and counted by an automaton of the leading
+  words (completion.RuleRows);
 - homogeneous input in dialgebra mode takes the bimodule engine
   (digrow.bimodule, imported on first use), unless it is binomial with an
   A_D free below the cap.  The axioms
@@ -14,20 +22,18 @@ picks one (_saturation_rows):
   left factor of |- and the right factor of -| act only through their
   image in the associated associative algebra A_D.  So the monomial
   [u c v]@(|u|+1) = u |- c -| v is worked with as a triple (u, c, v) of
-  A_D (x) kX (x) A_D.  The engine stores A_D's rows and the rows of M,
+  A_D (x) kX (x) A_D.  The engine stores A_D's rules and the rows of M,
   the sub-bimodule the relators and scheme instances generate, on triples
   whose u and v are A_D-normal: by a union-find for binomial input, whose
   A_D is binomial too, and by elimination otherwise.  A monomial whose u
   or v is not normal has the row [u c v] - nf(u) c nf(v), reduced against
   M, computed whenever it is read (bimodule.TripleRows);
-- other binomial input (homogeneous, every relator c*m or c*m1 - c*m2),
-  that is associative mode and dialgebra input whose A_D has no relation
-  below the cap, takes a union-find over the monomials of each degree,
-  with no field arithmetic;
-- everything else, inhomogeneous input and other associative input, takes
-  elimination: seed rows, then close under multiplication by single
-  generators on both sides under both products, reducing every candidate
-  as it arrives.
+- binomial dialgebra input (homogeneous, every relator c*m or
+  c*m1 - c*m2) whose A_D has no relation below the cap takes a union-find
+  over the monomials of each degree, with no field arithmetic;
+- inhomogeneous input, in either mode, takes elimination: seed rows, then
+  close under multiplication by single generators on both sides under both
+  products, reducing every candidate as it arrives.
 
 Truncation semantics matter.  Saturation runs to degree n + slack and the
 table reports degrees up to n.  A kept row never has a term beyond the cap
@@ -117,8 +123,12 @@ def _key_scheme_pair(keys: KeyCodec, tag: str, u: tuple, v: tuple) -> tuple[int,
     return keys.lprod(u, v), keys.rprod(v, u)
 
 
-def _basis_keys_in(rows: dict, start: int, stop: int) -> list[int]:
-    """The keys in range(start, stop) that rows leaves in the basis."""
+def _basis_keys_in(rows, start: int, stop: int) -> list[int]:
+    """The keys in range(start, stop) that rows leaves in the basis: tested
+    one by one against a dict, listed by a completion.RuleRows or
+    bimodule.TripleRows itself."""
+    if not isinstance(rows, dict):
+        return rows.basis_keys(start, stop)
     return [x for x in range(start, stop) if x not in rows]
 
 
@@ -578,17 +588,24 @@ def _free_below(q: Presentation, cap: int) -> bool:
 
 def _saturation_rows(q: Presentation, keys: KeyCodec):
     """The kernel rows of q up to keys.cap, from the engine q's shape
-    routes to.  Homogeneous dialgebra input goes to bimodule._bimodule_rows
-    (which returns a bimodule.TripleRows), except binomial input whose A_D
-    is free below the cap: there the triples are all the monomials, and
-    _congruence_rows is faster.  Other binomial input goes to
-    _congruence_rows, and everything else to _elimination_rows.  All give
-    the same rows."""
-    binomial = _binomial(q)
-    if keys.associative or not q.homogeneous or (binomial and _free_below(q, keys.cap)):
-        return _congruence_rows(q, keys) if binomial else _elimination_rows(q, keys)
-    # imported here, not at the top: compiling the module at start-up
-    # would cost every other run about 0.4 MiB of peak memory
+    routes to.  Inhomogeneous input goes to _elimination_rows.
+    Homogeneous input in associative mode goes to completion._rule_rows
+    (which returns a completion.RuleRows), and in dialgebra mode to
+    bimodule._bimodule_rows (which returns a bimodule.TripleRows), except
+    binomial input whose A_D is free below the cap: there the triples are
+    all the monomials, and _congruence_rows is faster.  All give the same
+    rows."""
+    # the two modules are imported here, not at the top: compiling one at
+    # start-up would cost every run that does not take it about 0.4 MiB
+    # of peak memory
+    if not q.homogeneous:
+        return _elimination_rows(q, keys)
+    if keys.associative:
+        from . import completion
+
+        return completion._rule_rows(q, keys)
+    if _binomial(q) and _free_below(q, keys.cap):
+        return _congruence_rows(q, keys)
     from . import bimodule
 
     return bimodule._bimodule_rows(q, keys)
@@ -596,7 +613,8 @@ def _saturation_rows(q: Presentation, keys: KeyCodec):
 
 def _pivot_counts(rows, keys: KeyCodec, n: int) -> list[int]:
     """How many pivots rows holds at each degree 1..n: counted from the
-    sorted keys of a dict, by a bimodule.TripleRows itself."""
+    sorted keys of a dict, by a completion.RuleRows or bimodule.TripleRows
+    itself."""
     if not isinstance(rows, dict):
         return rows.pivot_counts(n)
     pivots = sorted(rows)
@@ -617,12 +635,14 @@ class BasisTable:
     is a lower bound on the ideal and the basis an upper bound.  The rows
     are held as kernel rows {key: (d, tail)} (see KeyCodec and
     _reduce_terms) and decoded to Disequence and field values only when
-    read.  _rows is the dict an engine stored, or, for a table the
-    bimodule engine built, a read-only bimodule.TripleRows that stores
-    A_D's rows and M's and computes the row of any other pivot when it is
-    read; both answer get, in and iteration alike, and counts_by_degree
-    takes the pivots per degree from _pivot_counts, which a TripleRows
-    answers without visiting its pivots.  Only this module and
+    read.  _rows is the dict an engine stored, or a read-only mapping that
+    computes the rows it does not store when they are read: a
+    completion.RuleRows, which stores the rewriting rules of an
+    associative table of homogeneous input, or a bimodule.TripleRows,
+    which stores A_D's rules and M's rows.  All answer get, in and
+    iteration alike; counts_by_degree takes the pivots per degree from
+    _pivot_counts and _basis_keys the basis keys from _basis_keys_in,
+    which such a mapping answers without visiting its pivots.  Only this module and
     digrow.bimodule read the kernel rows; the verify checks work on
     keys through _basis_keys and _reduce and decode only what they print.
     basis decodes _basis_keys, and the basis and pivot literals of
@@ -753,16 +773,20 @@ def basis_upto(
 
     Works on pres itself in dialgebra mode and on its associative image in
     associative mode, through degree n + slack, and trims the rows past
-    degree n.  Homogeneous input in dialgebra mode takes the bimodule
-    engine, unless it is binomial and its A_D free below n + slack: by the
-    axioms (x -| y) |- z = (x |- y) |- z and x -| (y -| z) = x -| (y |- z),
-    u and v act on [u c v]@(|u|+1) only through their image in A_D, so it
+    degree n.  Homogeneous input in associative mode takes the rules
+    engine: a Gröbner-Shirshov basis completed degree by degree to
+    n + slack, whose rules rewrite every other word to its normal form
+    when its row is read.  Homogeneous input in dialgebra mode takes the
+    bimodule engine, unless it is binomial and its A_D free below
+    n + slack: by the axioms (x -| y) |- z = (x |- y) |- z and
+    x -| (y -| z) = x -| (y |- z), u and v act on [u c v]@(|u|+1) only
+    through their image in A_D, whose rules the engine completes, so it
     saturates M on triples (u, c, v) with u and v A_D-normal, by a
     union-find on binomial input and by elimination otherwise.  Every
     other monomial has the row [u c v] - nf(u) c nf(v), reduced against M,
-    and the table computes that row whenever it is read.  Other binomial
-    input takes the congruence engine, and everything else elimination.
-    All three give the same rows.
+    and the table computes that row whenever it is read.  The binomial
+    dialgebra input it leaves takes the congruence engine, and
+    inhomogeneous input elimination.  All four give the same rows.
     """
     mode = _norm_mode(mode)
     check_degree_bound(n)

@@ -250,7 +250,7 @@ def test_verify_commutative_fixture(capsys):
 
 def test_verify_saturates_each_mode_once(capsys, monkeypatch):
     # every saturation runs one of the engines behind basis_upto
-    from digrow import bimodule
+    from digrow import bimodule, completion
 
     calls = []
 
@@ -262,19 +262,19 @@ def test_verify_saturates_each_mode_once(capsys, monkeypatch):
         return wrapped
 
     for module, name in ((presentation, "_congruence_rows"), (presentation, "_elimination_rows"),
-                         (bimodule, "_bimodule_rows")):
+                         (completion, "_rule_rows"), (bimodule, "_bimodule_rows")):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     code, _, _ = run(capsys, "verify", COMM_A, "--max-degree", "5")
     assert code == 0
-    assert sorted(calls) == [("_congruence_rows", ASSOCIATIVE, 5),
-                             ("_congruence_rows", DIALGEBRA, 5)]
-    # the bimodule engine saturates A_D itself, one degree below its cap
+    assert sorted(calls) == [("_congruence_rows", DIALGEBRA, 5),
+                             ("_rule_rows", ASSOCIATIVE, 5)]
+    # the bimodule engine completes A_D itself, one degree below its cap
     calls.clear()
     code, _, _ = run(capsys, "verify", COMM_AB, "--max-degree", "5")
     assert code == 0
     assert sorted(calls) == [("_bimodule_rows", DIALGEBRA, 5),
-                             ("_congruence_rows", ASSOCIATIVE, 4),
-                             ("_congruence_rows", ASSOCIATIVE, 5)]
+                             ("_rule_rows", ASSOCIATIVE, 4),
+                             ("_rule_rows", ASSOCIATIVE, 5)]
 
 
 def test_verify_and_checks_read_keys_not_the_basis(capsys, monkeypatch):
@@ -640,6 +640,26 @@ def test_bimodule_engine_is_imported_only_when_routed(tmp_path):
         f"assert main(['growth', {COMM_AB!r}, '--max-degree', '4']) == 0\n"
         "assert 'digrow.bimodule' in sys.modules\n"
         f"assert main(['growth', {str(dense)!r}, '--max-degree', '4']) == 0\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rules_engine_is_imported_only_when_routed():
+    # relator-free and inhomogeneous runs do not compile the rules engine
+    src = str(Path(digrow.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from digrow.cli import main\n"
+        "for mode in ('dialgebra', 'assoc'):\n"
+        f"    assert main(['growth', {FREE_AB!r}, '--max-degree', '4', '--mode', mode]) == 0\n"
+        f"assert main(['growth', {INHOMOG!r}, '--max-degree', '4']) == 0\n"
+        "assert 'digrow.completion' not in sys.modules\n"
+        f"assert main(['growth', {INHOMOG!r}, '--max-degree', '4', '--mode', 'assoc']) == 0\n"
+        "assert 'digrow.completion' in sys.modules\n"
     )
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

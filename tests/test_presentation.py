@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from digrow.cli import load_presentation
 from digrow.element import QQ, DiElement, PrimeField, parse_element
@@ -34,8 +34,10 @@ from digrow.presentation import (
     _elimination_rows,
     _free_below,
     _insert_row,
+    _KILLED,
     _integer_terms,
     _key_scheme_pair,
+    _pivot_counts,
     _reduce_terms,
     _element,
     associated_associative,
@@ -46,6 +48,7 @@ from digrow.presentation import (
 )
 from digrow import fixture_path
 from digrow.bimodule import TripleRows, _bimodule_rows
+from digrow.completion import RuleRows, _rule_rows
 from digrow.growth import special_basis_check
 
 A = Alphabet.of("a")
@@ -612,6 +615,115 @@ def test_triple_tables_read_as_stored_rows(pres, slack, data):
     assert normal_form(x, table) == normal_form(x, ref)
 
 
+# ===== the rules engine against elimination ===============================
+
+
+FIELDS = (QQ, PrimeField(2), PrimeField(3), GF7, PrimeField(32003))
+
+
+@st.composite
+def homogeneous_presentations(draw):
+    """Homogeneous presentations over 1 to 3 letters and Q, GF(2), GF(3),
+    GF(7) or GF(32003): relators of one to three terms of one length 1 to
+    4, monomial relators included, with integer and fractional
+    coefficients; any identity schemes, which associative mode reads as
+    commutativity."""
+    k = draw(st.integers(1, 3))
+    alphabet = Alphabet(tuple("abc"[:k]))
+    field = draw(st.sampled_from(FIELDS))
+    coeffs = COEFFS if field == QQ else ["-3", "-2", "-1", "1", "2", "3", "5"]
+
+    def mono(length):
+        word = bytes(draw(st.integers(0, k - 1)) for _ in range(length))
+        return Disequence(alphabet, word, draw(st.integers(1, length)))
+
+    relators = []
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(1, 4))
+        terms = {mono(length): field.coerce(Fraction(draw(st.sampled_from(coeffs))))
+                 for _ in range(draw(st.integers(1, 3)))}
+        r = DiElement(alphabet, field, terms)
+        if not r.is_zero:
+            relators.append(r)
+    schemes = draw(st.lists(st.sampled_from(SCHEME_TAGS), unique=True, max_size=3))
+    return Presentation(alphabet, field, tuple(relators), tuple(schemes))
+
+
+def associative_table_from_rows(pres, n, slack, engine):
+    """The associative table basis_upto(pres, n, ASSOCIATIVE, slack) reads,
+    built from the rows engine(q, keys) stores for the associative image q,
+    trimmed to degree n."""
+    q = associated_associative(pres)
+    keys = KeyCodec(pres.alphabet, n + slack, True)
+    end = keys.offset(n + 1)
+    rows = {piv: row for piv, row in engine(q, keys).items() if piv < end}
+    return BasisTable(pres.alphabet, pres.field, ASSOCIATIVE, n, slack, True, pres.fingerprint,
+                      keys, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(homogeneous_presentations(), st.sampled_from([None, 1, 2]), st.data())
+def test_rule_tables_read_as_stored_rows(pres, slack, data):
+    # every public read of an associative table of homogeneous input, which
+    # the rules engine serves, against tables of the rows that elimination
+    # and, on binomial input, the congruence engine store
+    n = {1: 8, 2: 5, 3: 3}[pres.alphabet.size]
+    table = basis_upto(pres, n, ASSOCIATIVE, slack)
+    q = associated_associative(pres)
+    assert isinstance(table._rows, RuleRows) == bool(q.relators or q.schemes)
+    engines = [_elimination_rows] + [_congruence_rows] * _binomial(q)
+    monos = [m for t in range(1, n + 2) for m in monomials(pres.alphabet, t, True)]
+    inside = [m for m in monos if len(m.word) <= n]
+    for engine in engines:
+        ref = associative_table_from_rows(pres, n, slack or 0, engine)
+        assert table.rows == ref.rows
+        assert table.pivots == ref.pivots
+        assert table.basis == ref.basis
+        assert table.counts_by_degree() == ref.counts_by_degree()
+        assert table.to_json() == ref.to_json()
+        assert [m in table for m in monos] == [m in ref for m in monos]
+        for m in inside:
+            x = DiElement.monomial(m, field=pres.field)
+            assert normal_form(x, table) == normal_form(x, ref)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(inside), st.integers(-3, 3)),
+                               max_size=4))
+    x = DiElement.zero(pres.alphabet, pres.field)
+    for m, c in terms:
+        x = x + DiElement.monomial(m, c, pres.field)
+    assert normal_form(x, table) == normal_form(x, ref)
+
+
+def test_truncated_completion_adds_a_rule_at_every_degree():
+    # the dense1 A_D: its basis is infinite, one rule a degree from 3 on, and
+    # the truncated completion is exact through the cap
+    q = Presentation(AB, QQ, (E("5*[b b b]@1 + 2*[b b a]@1 - 7*[b a a]@1"),))
+    n = 12
+    keys = KeyCodec(AB, n, True)
+    rows = _rule_rows(q, keys)
+    assert sorted(map(keys.length, rows._rules)) == list(range(3, n + 1))
+    ref = _elimination_rows(q, keys)
+    assert rows == ref
+    assert rows.pivot_counts(n) == _pivot_counts(ref, keys, n)
+    table = basis_upto(q, n, ASSOCIATIVE)
+    assert table.counts_by_degree() == [2, 4, 7, 12, 20, 33, 54, 88, 143, 232, 376, 609]
+
+
+def test_degenerate_completions():
+    # a monomial relator is a rule with an empty tail
+    rows = _rule_rows(associated_associative(fixture("zero_a")), KeyCodec(A, 6, True))
+    assert rows._rules == {0: _KILLED}
+    assert list(rows) == list(range(6)) and rows.basis_keys(0, 6) == []
+    # one letter commutes with itself: no rule, every word normal
+    rows = _rule_rows(associated_associative(fixture("comm_a")), KeyCodec(A, 6, True))
+    assert rows._rules == {} and len(rows) == 0
+    assert rows.basis_keys(0, 6) == list(range(6)) and rows.pivot_counts(6) == [0] * 6
+    # two letters: the commutator ba -> ab, and no composition of it
+    keys = KeyCodec(AB, 6, True)
+    rows = _rule_rows(associated_associative(fixture("comm_ab")), keys)
+    assert rows._rules == {keys.encode(D("[b a]@1")): (1, {keys.encode(D("[a b]@1")): -1})}
+    assert [len(rows.normal_words(t)) for t in range(7)] == [1, 2, 3, 4, 5, 6, 7]
+
+
 @st.composite
 def truncated_presentations_with_slack(draw):
     """truncated_presentations with a file slack of None, 0, 1 or 2: their
@@ -623,12 +735,13 @@ def truncated_presentations_with_slack(draw):
 
 def engine_calls(monkeypatch, pres, n, mode):
     """The engines basis_upto(pres, n, mode) calls, in order, as
-    (name, associative) pairs: the bimodule engine calls one for A_D, then
-    one for M."""
-    from digrow import bimodule, presentation
+    (name, associative) pairs: the bimodule engine calls the rules engine
+    for A_D, then one for M."""
+    from digrow import bimodule, completion, presentation
 
     calls = []
     for module, name in ((presentation, "_congruence_rows"), (presentation, "_elimination_rows"),
+                         (completion, "_rule_rows"),
                          (bimodule, "_bimodule_rows"), (bimodule, "_triple_congruence"),
                          (bimodule, "_triple_elimination")):
         def wrapped(q, keys, _name=name, _engine=getattr(module, name)):
@@ -644,8 +757,8 @@ def engine_calls(monkeypatch, pres, n, mode):
 
 def test_routing_picks_the_engine_by_input_shape(monkeypatch):
     # binomial input whose A_D is not free below the cap: the union-find on
-    # normal triples, after A_D's own engine
-    on_triples = [("bimodule", False), ("congruence", True), ("triple_congruence", False)]
+    # normal triples, after A_D's rules
+    on_triples = [("bimodule", False), ("rule", True), ("triple_congruence", False)]
     assert engine_calls(monkeypatch, fixture("comm_ab"), 4, DIALGEBRA) == on_triples
     assert engine_calls(monkeypatch, fixture("zero_a"), 3, DIALGEBRA) == on_triples
     # a free A_D: the triples are all the monomials, so the union-find on
@@ -657,13 +770,13 @@ def test_routing_picks_the_engine_by_input_shape(monkeypatch):
     assert engine_calls(monkeypatch, cube, 3, DIALGEBRA) == [("congruence", False)]
     assert engine_calls(monkeypatch, cube, 4, DIALGEBRA) == on_triples
     # homogeneous, non-binomial dialgebra input: the bimodule, whose A_D
-    # goes to its associative engine
+    # goes to the rules engine
     for field in (QQ, GF32003):
         assert engine_calls(monkeypatch, dense(field), 4, DIALGEBRA) == [
-            ("bimodule", False), ("elimination", True), ("triple_elimination", False)]
+            ("bimodule", False), ("rule", True), ("triple_elimination", False)]
     comm_dense = Presentation(AB, QQ, dense(QQ).relators, ("lcomm",))
     assert engine_calls(monkeypatch, comm_dense, 4, DIALGEBRA) == [
-        ("bimodule", False), ("elimination", True), ("triple_elimination", False)]
+        ("bimodule", False), ("rule", True), ("triple_elimination", False)]
     # inhomogeneous input stays on elimination, even where its associative
     # image is homogeneous: truncated elimination can miss rows the bimodule
     # has (see test_prefix_suffix_truncation_violations_golden)
@@ -674,11 +787,13 @@ def test_routing_picks_the_engine_by_input_shape(monkeypatch):
     skew = Presentation(AB, QQ, (E("[a b]@1 - [a]@1"),))
     assert not associated_associative(skew).homogeneous
     assert engine_calls(monkeypatch, skew, 3, DIALGEBRA) == [("elimination", False)]
-    # associative mode never takes the bimodule
+    # associative mode never takes the bimodule: a homogeneous associative
+    # image takes the rules engine, binomial or not, and an inhomogeneous
+    # one elimination
     for pres in [fixture(name) for name in ("comm_ab", "inhomog_ab", "cross_a")] + [
-            dense(QQ), dense(GF32003), comm_dense, skew]:
-        engine = "congruence" if _binomial(associated_associative(pres)) else "elimination"
-        assert engine_calls(monkeypatch, pres, 3, ASSOCIATIVE) == [(engine, True)]
+            dense(QQ), dense(GF32003), comm_dense]:
+        assert engine_calls(monkeypatch, pres, 3, ASSOCIATIVE) == [("rule", True)]
+    assert engine_calls(monkeypatch, skew, 3, ASSOCIATIVE) == [("elimination", True)]
     # relator-free input saturates nothing
     for mode in (DIALGEBRA, ASSOCIATIVE):
         assert engine_calls(monkeypatch, fixture("free_ab"), 3, mode) == []
@@ -1065,6 +1180,9 @@ def test_basistable_invariants():
             rows = engine(dense(field), KeyCodec(AB, 5))
             assert any(d > 1 for d, _ in rows.values()) == (field == QQ)
             assert_kernel_rows(rows, field)
+        rows = _rule_rows(associated_associative(dense(field)), KeyCodec(AB, 6, True))
+        assert any(d > 1 for d, _ in rows.values()) == (field == QQ)
+        assert_kernel_rows(rows, field)
         comm = Presentation(AB, field, (parse_element("[b b]@1", AB, field),),
                             ("lcomm", "rcomm"))
         assert_kernel_rows(_congruence_rows(comm, KeyCodec(AB, 4)), field)
@@ -1127,14 +1245,15 @@ def test_reduce_terms_ignores_pair_order_and_repeats(table, pairs, data):
 def test_basis_upto_restores_gc_state(name, monkeypatch):
     import gc
 
-    from digrow import bimodule, presentation
+    from digrow import bimodule, completion, presentation
 
     pres = dense(QQ) if name == "dense" else fixture(name)
     was = gc.isenabled()
     try:
         for state in (True, False):
             (gc.enable if state else gc.disable)()
-            assert basis_upto(pres, 3).counts_by_degree()
+            for mode in (DIALGEBRA, ASSOCIATIVE):
+                assert basis_upto(pres, 3, mode).counts_by_degree()
             assert gc.isenabled() is state
 
         # the same when the engine raises; it runs with GC off
@@ -1145,14 +1264,16 @@ def test_basis_upto_restores_gc_state(name, monkeypatch):
             raise RuntimeError("engine failed")
 
         for module, engine in ((presentation, "_congruence_rows"),
-                               (presentation, "_elimination_rows"), (bimodule, "_bimodule_rows")):
+                               (presentation, "_elimination_rows"), (bimodule, "_bimodule_rows"),
+                               (completion, "_rule_rows")):
             monkeypatch.setattr(module, engine, failing)
         for state in (True, False):
             (gc.enable if state else gc.disable)()
-            with pytest.raises(RuntimeError, match="engine failed"):
-                basis_upto(pres, 3)
+            for mode in (DIALGEBRA, ASSOCIATIVE):
+                with pytest.raises(RuntimeError, match="engine failed"):
+                    basis_upto(pres, 3, mode)
             assert gc.isenabled() is state
-        assert seen == [False, False]
+        assert seen == [False] * 4
     finally:
         (gc.enable if was else gc.disable)()
 

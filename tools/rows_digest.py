@@ -17,10 +17,15 @@ homogeneous ones (all but the "inhomogeneous" count) take the bimodule
 engine there; "associative image homogeneous" counts the draws whose A_D
 is exact.  "triple union-find" counts the binomial draws whose dialgebra
 table takes the union-find on A_D-normal triples, the others take the one
-on monomials.
-Only the public API is used (`basis_upto`, `BasisTable.rows`,
+on monomials.  "completions" counts the associative tables that the rules
+engine serves (every one whose associative image is homogeneous and has a
+relator or a scheme), and "completions with a rule above the relators"
+those with a rule longer than every relator and, given schemes, than the
+generator commutators: such a rule comes from an overlap composition.
+The digest uses only the public API (`basis_upto`, `BasisTable.rows`,
 `BasisTable.basis`, `counts_by_degree`, `normal_form`), so two checkouts
-that print the same digest compute the same tables.
+that print the same digest compute the same tables; the tally peeks at
+the rows a table holds.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from digrow import (
     basis_upto,
     normal_form,
 )
+from digrow.completion import RuleRows
 
 FIELDS = (QQ, QQ, PrimeField(7), PrimeField(32003))
 COEFFS = tuple(map(Fraction, ("1", "-1", "2", "-3", "5", "1/2", "-2/3", "7/3", "-5/4")))
@@ -123,12 +129,26 @@ def triple_union_find(pres: Presentation, cap: int) -> bool:
                                or bool(assoc.schemes) and pres.alphabet.size > 1 and cap > 2)
 
 
-def lines_of(pres: Presentation, rng, slack=None):
+def tally_completion(table, pres: Presentation, tally: Counter) -> None:
+    """Count an associative table the rules engine serves, and whether it
+    holds a rule above the relators' lengths (2 for the commutators)."""
+    rows = table._rows
+    if isinstance(rows, RuleRows):
+        q = associated_associative(pres)
+        top = max([r.max_length() for r in q.relators] + [2 * bool(q.schemes)])
+        tally["completions"] += 1
+        tally["completions with a rule above the relators"] += any(
+            table._keys.length(x) > top for x in rows._rules)
+
+
+def lines_of(pres: Presentation, rng, tally: Counter, slack=None):
     """Text lines of one presentation's tables, both modes."""
     n = DEGREE[pres.alphabet.size]
     yield pres.canonical_text()
     for mode in (DIALGEBRA, ASSOCIATIVE):
         table = basis_upto(pres, n, mode, slack)
+        if mode == ASSOCIATIVE:
+            tally_completion(table, pres, tally)
         yield f"{mode} slack {table.slack} counts {table.counts_by_degree()}"
         for piv, row in table.rows.items():
             yield f"{piv.format()}: {row.format()}"
@@ -155,7 +175,7 @@ def main(argv=None) -> int:
         assoc = associated_associative(pres)
         tally["binomial in associative mode"] += binomial(assoc)
         tally["associative image homogeneous"] += assoc.homogeneous
-        for line in lines_of(pres, rng):
+        for line in lines_of(pres, rng, tally):
             digest.update(line.encode() + b"\n")
     for _ in range(args.count // 2):
         pres = binomial_presentation(rng)
@@ -164,7 +184,7 @@ def main(argv=None) -> int:
         tally["triple union-find"] += triple_union_find(pres, DEGREE[pres.alphabet.size]
                                                         + (slack or 0))
         digest.update(f"slack {slack}\n".encode())
-        for line in lines_of(pres, rng, slack):
+        for line in lines_of(pres, rng, tally, slack):
             digest.update(line.encode() + b"\n")
     elapsed = time.perf_counter() - start
     print(f"{args.count} + {args.count // 2} binomial presentations (seed {args.seed}): "
