@@ -12,20 +12,18 @@ from copy import copy
 from math import gcd, lcm
 
 from . import completion
+from .congruence import _class_rows, _union_find
 from .monomial import KeyCodec
 from .presentation import (
     _KILLED,
     Presentation,
-    _basis_keys_in,
     _binomial,
-    _class_rows,
     _insert_row,
     _integer_terms,
     _pivot_counts,
     _products,
     _reduce_terms,
     _scheme_instances,
-    _union_find,
     associated_associative,
 )
 
@@ -292,7 +290,7 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
             basis[t - 1] = [keys.split(x) for x in prev if x not in m]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
                 join(normal(m1), normal(m2))
-        _class_rows(m, members, find, killed, minus)
+        _class_rows(m, members, find, killed, minus, m, _KILLED)
         prev = members
 
 
@@ -315,8 +313,8 @@ def _triple_elimination(q: Presentation, rows: TripleRows) -> None:
     basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
     for t in range(1, cap + 1):
         if q.schemes:
-            basis[t - 1] = [keys.split(x) for x in _basis_keys_in(rows, keys.offset(t - 1),
-                                                                  keys.offset(t))]
+            basis[t - 1] = [keys.split(x) for x in rows.basis_keys(keys.offset(t - 1),
+                                                                   keys.offset(t))]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
                 pend[t].append(((m1, 1), (m2, -1)))
         for cand in pend[t]:

@@ -30,10 +30,15 @@ picks one (_saturation_rows):
   M, computed whenever it is read (bimodule.TripleRows);
 - binomial dialgebra input (homogeneous, every relator c*m or
   c*m1 - c*m2) whose A_D has no relation below the cap takes a union-find
-  over the monomials of each degree, with no field arithmetic;
+  over the monomials of each degree, with no field arithmetic
+  (digrow.congruence, imported on first use);
 - inhomogeneous input, in either mode, takes elimination: seed rows, then
   close under multiplication by single generators on both sides under both
   products, reducing every candidate as it arrives.
+
+The last two return a KernelRows: the live rows in a dict, and each killed
+monomial as one byte in the key layout.  On input such as inhomog_ab,
+whose relator puts b in the ideal, nearly every monomial is killed.
 
 Truncation semantics matter.  Saturation runs to degree n + slack and the
 table reports degrees up to n.  A kept row never has a term beyond the cap
@@ -52,6 +57,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -121,15 +127,6 @@ def _key_scheme_pair(keys: KeyCodec, tag: str, u: tuple, v: tuple) -> tuple[int,
     if tag == "rcomm":
         return keys.rprod(u, v), keys.rprod(v, u)
     return keys.lprod(u, v), keys.rprod(v, u)
-
-
-def _basis_keys_in(rows, start: int, stop: int) -> list[int]:
-    """The keys in range(start, stop) that rows leaves in the basis: tested
-    one by one against a dict, listed by a completion.RuleRows or
-    bimodule.TripleRows itself."""
-    if not isinstance(rows, dict):
-        return rows.basis_keys(start, stop)
-    return [x for x in range(start, stop) if x not in rows]
 
 
 def _scheme_instances(schemes, keys: KeyCodec, total: int, basis: dict):
@@ -269,11 +266,75 @@ def _effective_slack(q: Presentation, explicit: int | None) -> int:
 # field.p (0 for Q).  A row is (d, tail) with int coefficients and stands
 # for the element piv + tail/d; its tail holds no pivot.  Over Q d > 0 and
 # gcd(d, *tail.values()) == 1; over GF(p) d == 1 and the entries lie in
-# [0, p).  Every killed monomial shares the row _KILLED.  Coefficients
-# become Fraction or residue only at the edges: the inputs in
-# _integer_terms, the outputs in _element.
+# [0, p).  Every killed monomial reads as the row _KILLED; a KernelRows
+# stores it as one byte.  Coefficients become Fraction or residue only at
+# the edges: the inputs in _integer_terms, the outputs in _element.
 
 _KILLED = (1, MappingProxyType({}))
+# turns a KernelRows' _dead into 1 at each key it does not mark
+_ALIVE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+class KernelRows(Mapping):
+    """The kernel rows {pivot: (d, tail)} that _elimination_rows and
+    _congruence_rows store, read-only.
+
+    The live rows are a dict; a killed key, whose row is _KILLED, is a 1 in
+    the bytearray _dead, in the KeyCodec layout: one byte, not a dict slot
+    and an int.  Keys at or past len(_dead) are not killed, so the empty
+    rows of a relator-free table, KernelRows(), need no codec.
+    """
+
+    __slots__ = ("_keys", "_live", "_dead")
+
+    def __init__(self, keys: KeyCodec | None = None, end: int = 0):
+        self._keys, self._live, self._dead = keys, {}, bytearray(end)
+
+    def below(self, top: int) -> KernelRows:
+        """These rows without those of degree above top."""
+        end = self._keys.offset(top + 1)
+        out = KernelRows(self._keys)
+        out._live = {x: row for x, row in self._live.items() if x < end}
+        out._dead = self._dead[:end]
+        return out
+
+    def get(self, x: int, default=None):
+        row = self._live.get(x)
+        if row is not None:
+            return row
+        return _KILLED if 0 <= x < len(self._dead) and self._dead[x] else default
+
+    def __getitem__(self, x: int):
+        row = self.get(x)
+        if row is None:
+            raise KeyError(x)
+        return row
+
+    def __contains__(self, x) -> bool:
+        return x in self._live or 0 <= x < len(self._dead) and self._dead[x] == 1
+
+    def __iter__(self):
+        dead = self._dead
+        return iter(sorted([*self._live, *compress(range(len(dead)), dead)]))
+
+    def __len__(self) -> int:
+        return len(self._live) + self._dead.count(1)
+
+    def basis_keys(self, start: int, stop: int) -> list[int] | range:
+        """The keys in range(start, stop) that these rows leave in the
+        basis, ascending: that range itself when the rows are empty, as a
+        relator-free table's are."""
+        if not (self._live or self._dead):
+            return range(start, stop)
+        alive = self._dead[start:stop].translate(_ALIVE).ljust(stop - start, b"\x01")
+        live = self._live
+        return [x for x in compress(range(start, stop), alive) if x not in live]
+
+    def pivot_counts(self, n: int) -> list[int]:
+        """How many pivots these rows hold at each degree 1..n."""
+        offset, dead = self._keys.offset, self._dead
+        return [c + dead.count(1, offset(t), offset(t + 1))
+                for t, c in zip(range(1, n + 1), _pivot_counts(self._live, self._keys, n))]
 
 
 def _integer_terms(terms, p: int, encode) -> tuple[int, list]:
@@ -416,24 +477,41 @@ def _products(piv: int, row: tuple, images) -> list[list]:
     return [list(zip(col, coeffs)) for col in cols]
 
 
-def _elimination_rows(q: Presentation, keys: KeyCodec) -> dict:
+def _elimination_rows(q: Presentation, keys: KeyCodec) -> KernelRows:
     """Degree-bucketed closure of the ideal span of q up to the length cap
-    of keys, in keys' mode.
+    of keys, in keys' mode, as a KernelRows.
 
-    Returns the kernel rows {pivot: (d, tail)}, keyed by keys.  Candidates
-    wait in one bucket per top length; each inserted row sends its
-    single-generator multiples, both sides and both products, to the
-    bucket one above its pivot's length.  Multiples of a killed row are
-    single monomials and wait, deduplicated, in a set.  The span, hence the
-    reduced rows, does not depend on the order candidates are taken in.
+    Candidates wait in one bucket per top length; each inserted row sends
+    its single-generator multiples, both sides and both products, to the
+    bucket one above its pivot's length.  A killed key's multiples are
+    single monomials: they wait as marks in a bytearray, read in key order
+    by a cursor with no mark below it.  Such a monomial that is already
+    dead, or that is neither a pivot nor in a live tail, is marked dead
+    with no reduction.  Every other candidate has its dead terms dropped
+    (their rows are empty, and live tails hold no pivot) and goes through
+    the kernel.  The span, hence the reduced rows, does not depend on the
+    order candidates are taken in.
     """
     p, cap, offset = q.field.p, keys.cap, keys.offset
     images, length = keys.images, keys.length
-    rows, users = {}, {}
+    end, short = offset(cap + 1), offset(cap)
+    rows = KernelRows(keys, end)
+    live, dead, users = rows._live, rows._dead, {}
+    marks = bytearray(end)
+    cur = end
+
+    def kill(x):
+        nonlocal cur
+        dead[x] = 1
+        if x < short:
+            ys = images(x)
+            for y in ys:
+                marks[y] = 1
+            # the first image, rprod of the first generator and x, is the smallest
+            if ys[0] < cur:
+                cur = ys[0]
 
     pend: list[list] = [[] for _ in range(cap + 1)]
-    # images of killed rows: single monomials, one set per length
-    kills: list[set] = [set() for _ in range(cap + 1)]
     for r in q.relators:
         top = r.max_length()
         if top <= cap:
@@ -444,24 +522,42 @@ def _elimination_rows(q: Presentation, keys: KeyCodec) -> dict:
     while t <= cap:
         if q.schemes and t > reached:
             reached = t
-            basis[t - 1] = [keys.split(x) for x in _basis_keys_in(rows, offset(t - 1), offset(t))]
+            basis[t - 1] = [keys.split(x) for x in rows.basis_keys(offset(t - 1), offset(t))]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
                 pend[t].append(((m1, 1), (m2, -1)))
-        bucket, kill = pend[t], kills[t]
-        while bucket or kill:
+        bucket, hi = pend[t], offset(t + 1)
+        while True:
             # single monomials first: they shorten what follows
-            cand = ((kill.pop(), 1),) if kill else bucket.pop()
-            _, nf = _reduce_terms(cand, rows, p)
+            y = marks.find(1, cur, hi)
+            if y >= 0:
+                marks[y] = 0
+                cur = y + 1
+                if dead[y]:
+                    continue
+                if y not in live and not users.get(y):
+                    kill(y)
+                    continue
+                cand = ((y, 1),)
+            elif bucket:
+                cand = [(m, c) for m, c in bucket.pop() if not dead[m]]
+            else:
+                break
+            _, nf = _reduce_terms(cand, live, p)
             if nf:
-                piv = _insert_row(rows, users, nf, p)
+                piv = max(nf)
+                # the rows whose tails hold piv; _insert_row may kill them
+                held = users.get(piv, ())
+                _insert_row(live, users, nf, p)
+                for x in (piv, *held):
+                    if live[x] is _KILLED:
+                        del live[x]
+                        kill(x)
                 top = length(piv)
-                if top < cap:
-                    if rows[piv] is _KILLED:
-                        kills[top + 1].update(images(piv))
-                    else:
-                        pend[top + 1].extend(_products(piv, rows[piv], images))
+                if top < cap and piv in live:
+                    pend[top + 1].extend(_products(piv, live[piv], images))
+        cur = hi  # every mark below hi is read
         # a late short pivot can drop work into lower buckets; go back
-        t = next((s for s in range(1, t + 1) if pend[s] or kills[s]), t + 1)
+        t = next((s for s in range(1, t + 1) if pend[s]), t + 1)
     return rows
 
 
@@ -480,102 +576,6 @@ def _binomial(q: Presentation) -> bool:
     )
 
 
-def _union_find(size: int):
-    """(find, union, killed) over the positions 0..size-1: each class is
-    rooted at its smallest position, and killed[root] marks a killed
-    class; union keeps the kill of either side."""
-    parent = list(range(size))
-    killed = bytearray(size)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def union(a, b):
-        a, b = find(a), find(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            killed[a] |= killed[b]
-
-    return find, union, killed
-
-
-def _class_rows(rows: dict, members, find, killed, minus: int) -> None:
-    """Store the rows of one degree's classes, members[i] at position i
-    and members ascending: _KILLED for every member of a killed class,
-    and for every other member m of a live class the row
-    m + (1, {root: minus}), shared by its class.  A root has none."""
-    # a root is its class's smallest key, so its tail exists before any
-    # other member comes up
-    shared: dict = {}
-    for i, x in enumerate(members):
-        r = find(i)
-        if killed[r]:
-            rows[x] = _KILLED
-        elif r != i:
-            rows[x] = shared[r]
-        else:
-            shared[r] = (1, {x: minus})
-
-
-def _congruence_rows(q: Presentation, keys: KeyCodec) -> dict:
-    """The rows _elimination_rows(q, keys) returns, for binomial q.
-
-    Degree by degree, a union-find (_union_find) over the keys of that
-    degree (see KeyCodec), so key order is monomial order.  The ideal at
-    degree t is spanned by the differences inside each class and the
-    monomials of killed classes; its reduced echelon form has the kernel
-    rows _class_rows stores (-1 read mod p over GF(p)).  Classes at degree
-    t come from the single-generator images of the rows at degree t - 1,
-    read back from rows, the relators of length t and the scheme instances
-    of total degree t.
-    """
-    p, cap, images, offset = q.field.p, keys.cap, keys.images, keys.offset
-    minus = -1 % p if p else -1
-    relators: dict[int, list] = {}
-    for r in q.relators:
-        t = r.max_length()  # binomial relators are homogeneous
-        if t <= cap:
-            relators.setdefault(t, []).append([keys.encode(m) for m in r.terms])
-
-    rows: dict = {}
-    basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
-    for t in range(1, cap + 1):
-        off = offset(t)
-        size = offset(t + 1) - off
-        find, union, killed = _union_find(size)
-
-        root_images: dict = {}
-        for x in range(offset(t - 1), off):
-            row = rows.get(x)
-            if row is None:  # a root: its class's other members carry the edges
-                continue
-            if row is _KILLED:
-                for y in images(x):
-                    killed[find(y - off)] = 1
-                continue
-            (r,) = row[1]
-            ys = root_images.get(r)
-            if ys is None:
-                ys = root_images[r] = images(r)
-            for a, b in zip(images(x), ys):
-                union(a - off, b - off)
-        for terms in relators.get(t, ()):
-            if len(terms) == 1:
-                killed[find(terms[0] - off)] = 1
-            else:
-                union(terms[0] - off, terms[1] - off)
-        if q.schemes:
-            basis[t - 1] = [keys.split(x) for x in _basis_keys_in(rows, offset(t - 1), off)]
-            for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
-                union(m1 - off, m2 - off)
-        _class_rows(rows, range(off, off + size), find, killed, minus)
-    return rows
-
-
 def _free_below(q: Presentation, cap: int) -> bool:
     """True when A_D, the associated associative algebra of q, has no
     relation among words shorter than cap: it has no relator of length
@@ -587,16 +587,16 @@ def _free_below(q: Presentation, cap: int) -> bool:
 
 
 def _saturation_rows(q: Presentation, keys: KeyCodec):
-    """The kernel rows of q up to keys.cap, from the engine q's shape
-    routes to.  Inhomogeneous input goes to _elimination_rows.
-    Homogeneous input in associative mode goes to completion._rule_rows
-    (which returns a completion.RuleRows), and in dialgebra mode to
-    bimodule._bimodule_rows (which returns a bimodule.TripleRows), except
-    binomial input whose A_D is free below the cap: there the triples are
-    all the monomials, and _congruence_rows is faster.  All give the same
-    rows."""
-    # the two modules are imported here, not at the top: compiling one at
-    # start-up would cost every run that does not take it about 0.4 MiB
+    """The kernel rows of q up to keys.cap, a read-only mapping from the
+    engine q's shape routes to.  Inhomogeneous input goes to
+    _elimination_rows (which returns a KernelRows).  Homogeneous input in
+    associative mode goes to completion._rule_rows (a completion.RuleRows),
+    and in dialgebra mode to bimodule._bimodule_rows (a
+    bimodule.TripleRows), except binomial input whose A_D is free below
+    the cap: there the triples are all the monomials, and _congruence_rows
+    (a KernelRows) is faster.  All give the same rows."""
+    # the engine modules are imported here, not at the top: compiling one
+    # at start-up would cost every run that does not take it about 0.4 MiB
     # of peak memory
     if not q.homogeneous:
         return _elimination_rows(q, keys)
@@ -605,18 +605,16 @@ def _saturation_rows(q: Presentation, keys: KeyCodec):
 
         return completion._rule_rows(q, keys)
     if _binomial(q) and _free_below(q, keys.cap):
-        return _congruence_rows(q, keys)
+        from . import congruence
+
+        return congruence._congruence_rows(q, keys)
     from . import bimodule
 
     return bimodule._bimodule_rows(q, keys)
 
 
-def _pivot_counts(rows, keys: KeyCodec, n: int) -> list[int]:
-    """How many pivots rows holds at each degree 1..n: counted from the
-    sorted keys of a dict, by a completion.RuleRows or bimodule.TripleRows
-    itself."""
-    if not isinstance(rows, dict):
-        return rows.pivot_counts(n)
+def _pivot_counts(rows: dict, keys: KeyCodec, n: int) -> list[int]:
+    """How many keys of the dict rows lie at each degree 1..n."""
     pivots = sorted(rows)
     starts = [bisect_left(pivots, keys.offset(t)) for t in range(1, n + 2)]
     return [b - a for a, b in zip(starts, starts[1:])]
@@ -635,21 +633,21 @@ class BasisTable:
     is a lower bound on the ideal and the basis an upper bound.  The rows
     are held as kernel rows {key: (d, tail)} (see KeyCodec and
     _reduce_terms) and decoded to Disequence and field values only when
-    read.  _rows is the dict an engine stored, or a read-only mapping that
-    computes the rows it does not store when they are read: a
+    read.  _rows is a read-only mapping from an engine: a KernelRows,
+    which stores live rows in a dict and each killed key as one byte, a
     completion.RuleRows, which stores the rewriting rules of an
     associative table of homogeneous input, or a bimodule.TripleRows,
-    which stores A_D's rules and M's rows.  All answer get, in and
-    iteration alike; counts_by_degree takes the pivots per degree from
-    _pivot_counts and _basis_keys the basis keys from _basis_keys_in,
-    which such a mapping answers without visiting its pivots.  Only this module and
-    digrow.bimodule read the kernel rows; the verify checks work on
+    which stores A_D's rules and M's rows and computes every other row
+    when it is read.  All answer get, in and iteration alike, and
+    pivot_counts and basis_keys without visiting every pivot;
+    counts_by_degree and _basis_keys read those.  Only this module and
+    the engine modules read the kernel rows; the verify checks work on
     keys through _basis_keys and _reduce and decode only what they print.
     basis decodes _basis_keys, and the basis and pivot literals of
     to_json_dict and the basis verb are formatted from keys by _literals,
     so the Disequence lists basis and pivots are built only for API callers.
     The KeyCodec is built on first use: the counts and the basis keys of a
-    relator-free table need none.  Tables compare by identity and print no
+    relator-free table, whose rows are an empty KernelRows, need none.  Tables compare by identity and print no
     rows.
     """
 
@@ -690,7 +688,7 @@ class BasisTable:
     def basis(self) -> list[Disequence]:
         return [self._keys.decode(x) for x in self._basis_keys()]
 
-    def _basis_keys(self) -> list[int]:
+    def _basis_keys(self) -> list[int] | range:
         """The keys of basis, ascending, without building monomials;
         raises past MATERIALIZE_CAP."""
         total = universe_total(self.alphabet.size, self.degree_bound, self.mode == ASSOCIATIVE)
@@ -699,7 +697,7 @@ class BasisTable:
                 f"materializing the basis up to degree {self.degree_bound} "
                 f"would enumerate {_count_text(total)} monomials"
             )
-        return _basis_keys_in(self._rows, 0, total)
+        return self._rows.basis_keys(0, total)
 
     def _reduce(self, terms) -> tuple[int, dict]:
         """_reduce_terms of (key, int coefficient) pairs against the rows."""
@@ -718,7 +716,7 @@ class BasisTable:
         k, associative, n = self.alphabet.size, self.mode == ASSOCIATIVE, self.degree_bound
         counts = [universe_count(k, t, associative) for t in range(1, n + 1)]
         if self._rows:
-            counts = [c - d for c, d in zip(counts, _pivot_counts(self._rows, self._keys, n))]
+            counts = [c - d for c, d in zip(counts, self._rows.pivot_counts(n))]
         return counts
 
     def _literals(self, keys: list[int]) -> list[str]:
@@ -786,7 +784,8 @@ def basis_upto(
     other monomial has the row [u c v] - nf(u) c nf(v), reduced against M,
     and the table computes that row whenever it is read.  The binomial
     dialgebra input it leaves takes the congruence engine, and
-    inhomogeneous input elimination.  All four give the same rows.
+    inhomogeneous input elimination; those two store each killed key as
+    one byte of a KernelRows.  All four give the same rows.
     """
     mode = _norm_mode(mode)
     check_degree_bound(n)
@@ -813,7 +812,7 @@ def basis_upto(
             f"a table up to degree {cap} would hold {_count_text(total)} monomials, "
             f"more digits than Python converts to a string; lower the degree"
         ) from None
-    keys, rows = None, {}
+    keys, rows = None, KernelRows()
     if saturate:
         keys = KeyCodec(q.alphabet, cap, associative)
         # the engines build no reference cycles; cyclic GC would only
@@ -825,12 +824,8 @@ def basis_upto(
         finally:
             if enabled:
                 gc.enable()
-    if eff and rows:
-        # rows reach degree n + eff; only slack puts them beyond n
-        if isinstance(rows, dict):
-            end = keys.offset(n + 1)
-            rows = {piv: row for piv, row in rows.items() if piv < end}
-        else:
+        if eff:
+            # rows reach degree n + eff; only slack puts them beyond n
             rows = rows.below(n)
     return BasisTable(pres.alphabet, pres.field, mode, n, eff, q.homogeneous,
                       pres.fingerprint, keys, rows)

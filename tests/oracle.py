@@ -227,6 +227,65 @@ def o_basis(names, relators, schemes, n, slack=0, associative=False):
     return out
 
 
+#### the dict store of the elimination engine
+
+
+def o_elimination_rows(q, keys):
+    """The kernel rows {pivot: (d, tail)} that digrow's elimination engine
+    builds for q up to keys.cap, as a plain dict: every killed key holds
+    the row _KILLED, the images of each killed key wait in a set per
+    length, and every candidate goes through the kernel.
+
+    It is the reference for the byte store, presentation.KernelRows.
+    Unlike the rest of this module it runs the package's kernel
+    (_reduce_terms, _insert_row) on the package's keys, so it checks how
+    rows are stored and which candidates skip the kernel, not the
+    arithmetic.
+    """
+    from digrow.presentation import (
+        _KILLED,
+        _insert_row,
+        _integer_terms,
+        _products,
+        _reduce_terms,
+        _scheme_instances,
+    )
+
+    p, cap, offset = q.field.p, keys.cap, keys.offset
+    images, length = keys.images, keys.length
+    rows, users = {}, {}
+    pend = [[] for _ in range(cap + 1)]
+    kills = [set() for _ in range(cap + 1)]
+    for r in q.relators:
+        top = r.max_length()
+        if top <= cap:
+            pend[top].append(_integer_terms(r.terms.items(), p, keys.encode)[1])
+    basis = {}
+    reached = 0
+    t = 1
+    while t <= cap:
+        if q.schemes and t > reached:
+            reached = t
+            basis[t - 1] = [keys.split(x) for x in range(offset(t - 1), offset(t))
+                            if x not in rows]
+            for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
+                pend[t].append(((m1, 1), (m2, -1)))
+        bucket, kill = pend[t], kills[t]
+        while bucket or kill:
+            cand = ((kill.pop(), 1),) if kill else bucket.pop()
+            _, nf = _reduce_terms(cand, rows, p)
+            if nf:
+                piv = _insert_row(rows, users, nf, p)
+                top = length(piv)
+                if top < cap:
+                    if rows[piv] is _KILLED:
+                        kills[top + 1].update(images(piv))
+                    else:
+                        pend[top + 1].extend(_products(piv, rows[piv], images))
+        t = next((s for s in range(1, t + 1) if pend[s] or kills[s]), t + 1)
+    return rows
+
+
 #### structural checks on basis lists
 
 

@@ -250,7 +250,7 @@ def test_verify_commutative_fixture(capsys):
 
 def test_verify_saturates_each_mode_once(capsys, monkeypatch):
     # every saturation runs one of the engines behind basis_upto
-    from digrow import bimodule, completion
+    from digrow import bimodule, completion, congruence
 
     calls = []
 
@@ -261,7 +261,7 @@ def test_verify_saturates_each_mode_once(capsys, monkeypatch):
             return engine(q, keys)
         return wrapped
 
-    for module, name in ((presentation, "_congruence_rows"), (presentation, "_elimination_rows"),
+    for module, name in ((congruence, "_congruence_rows"), (presentation, "_elimination_rows"),
                          (completion, "_rule_rows"), (bimodule, "_bimodule_rows")):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     code, _, _ = run(capsys, "verify", COMM_A, "--max-degree", "5")
@@ -521,6 +521,22 @@ def test_triple_tables_reach_degree_16():
     assert out == "n,count_n,cumulative_n,mode\n" + "".join(
         f"{t},{c},{s},dialgebra\n" for t, c, s in zip(range(1, 17), counts, cumulative))
     assert used - bare < 40 * 1024, (bare, used)
+
+
+def test_killed_keys_cost_no_row():
+    # the relator puts b in the ideal, so elimination kills 425,776 of the
+    # 425,867 pivots of inhomog_ab up to its cap 14; each costs one byte,
+    # where a stored row per killed key took about 62 MiB
+    _, bare = child_peak("import digrow.cli")
+    out, used = child_peak(f"from digrow.cli import main\n"
+                           f"main(['growth', {INHOMOG!r}, '--max-degree', '12', "
+                           f"'--format', 'json'])")
+    assert out == (
+        '{"cumulative":[2,5,9,14,20,27,35,44,54,65,77,90],"degree_bound":12,"exact":false,'
+        '"fingerprint":"6b45043409f2","mode":"dialgebra",'
+        '"per_degree":[2,3,4,5,6,7,8,9,10,11,12,13],'
+        '"warnings":["approximate: lower-bound ideal / upper-bound basis (slack 2)"]}\n')
+    assert used - bare < 12 * 1024, (bare, used)
 
 
 def test_csv_rejected_before_any_work(capsys, monkeypatch):

@@ -28,9 +28,10 @@ from digrow.presentation import (
     MATERIALIZE_CAP,
     SCHEME_TAGS,
     BasisTable,
+    KernelRows,
     Presentation,
     _binomial,
-    _congruence_rows,
+    _effective_slack,
     _elimination_rows,
     _free_below,
     _insert_row,
@@ -49,6 +50,7 @@ from digrow.presentation import (
 from digrow import fixture_path
 from digrow.bimodule import TripleRows, _bimodule_rows
 from digrow.completion import RuleRows, _rule_rows
+from digrow.congruence import _congruence_rows
 from digrow.growth import special_basis_check
 
 A = Alphabet.of("a")
@@ -408,6 +410,69 @@ def test_congruence_classes_share_one_tail():
         assert max(live.values()) > 1
 
 
+# ===== the byte store against the dict store ==============================
+
+
+@st.composite
+def killing_presentations(draw):
+    """Inhomogeneous presentations over Q or GF(7) that kill most
+    monomials, in the shape of inhomog_ab: relators [g]@1 + c*([v]@i -
+    [v]@j), a generator equal to a longer element, and any identity
+    schemes, with a file slack of None, 0, 1 or 2."""
+    k = draw(st.integers(1, 2))
+    alphabet = Alphabet(tuple("ab"[:k]))
+    field = draw(st.sampled_from([QQ, GF7]))
+    relators = []
+    for _ in range(draw(st.integers(1, 2))):
+        v = bytes(draw(st.integers(0, k - 1)) for _ in range(draw(st.integers(2, 3))))
+        i, j = draw(st.lists(st.integers(1, len(v)), min_size=2, max_size=2, unique=True))
+        c = field.coerce(Fraction(draw(st.sampled_from(COEFFS))))
+        g = Disequence(alphabet, bytes([draw(st.integers(0, k - 1))]), 1)
+        relators.append(DiElement(alphabet, field, {
+            g: field.one, Disequence(alphabet, v, i): c, Disequence(alphabet, v, j): -c,
+        }))
+    schemes = draw(st.lists(st.sampled_from(SCHEME_TAGS), unique=True, max_size=2))
+    slack = draw(st.sampled_from([None, 0, 1, 2]))
+    return Presentation(alphabet, field, tuple(relators), tuple(schemes), slack)
+
+
+def assert_reads_as(rows, ref: dict, keys, top: int):
+    """rows answers every read of the byte store as the dict ref does, up
+    to degree top and a little past it."""
+    end = keys.offset(top + 1)
+    assert rows == ref and len(rows) == len(ref)
+    assert list(rows) == sorted(ref)
+    for x in range(end + 3):
+        assert (x in rows) == (x in ref) and rows.get(x) == ref.get(x), x
+    assert rows.pivot_counts(top) == [sum(keys.length(x) == t for x in ref)
+                                      for t in range(1, top + 1)]
+    # keys past the last degree are in no row
+    for start, stop in ((0, end), (keys.offset(top), end + 2), (1, max(1, end - 1))):
+        assert rows.basis_keys(start, stop) == [x for x in range(start, stop) if x not in ref]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(killing_presentations(), binomial_presentations().filter(
+    lambda p: any(len(r.terms) == 1 for r in p.relators))),
+    st.booleans(), st.sampled_from([None, 0, 1, 2]))
+def test_byte_store_reads_as_dict_store(pres, assoc, slack):
+    # the rows of both engines that store killed keys as bytes, trimmed or
+    # not, against the dict store of the same closure
+    from oracle import o_elimination_rows
+
+    q = associated_associative(pres) if assoc else pres
+    n = {1: 6, 2: 4, 3: 3}[pres.alphabet.size]
+    keys = KeyCodec(q.alphabet, n + _effective_slack(q, slack), assoc)
+    ref = o_elimination_rows(q, keys)
+    trimmed = {x: row for x, row in ref.items() if x < keys.offset(n + 1)}
+    for engine in [_elimination_rows] + [_congruence_rows] * _binomial(q):
+        rows = engine(q, keys)
+        assert isinstance(rows, KernelRows) and all(r is not _KILLED for r in rows._live.values())
+        assert rows._dead.count(1) == sum(r is _KILLED for r in ref.values())
+        assert_reads_as(rows, ref, keys, keys.cap)
+        assert_reads_as(rows.below(n), trimmed, keys, n)
+
+
 @st.composite
 def non_binomial_presentations(draw):
     """Presentations over Q with two- or three-term relators of mixed
@@ -580,10 +645,8 @@ def table_from_rows(pres, n, slack, engine):
     """The dialgebra table basis_upto(pres, n, slack=slack) reads, built
     from the rows engine(pres, keys) stores, trimmed to degree n."""
     keys = KeyCodec(pres.alphabet, n + slack)
-    end = keys.offset(n + 1)
-    rows = {piv: row for piv, row in engine(pres, keys).items() if piv < end}
     return BasisTable(pres.alphabet, pres.field, DIALGEBRA, n, slack, True, pres.fingerprint,
-                      keys, rows)
+                      keys, engine(pres, keys).below(n))
 
 
 @given(st.one_of(triple_binomial_presentations(), routed_presentations()),
@@ -655,10 +718,8 @@ def associative_table_from_rows(pres, n, slack, engine):
     trimmed to degree n."""
     q = associated_associative(pres)
     keys = KeyCodec(pres.alphabet, n + slack, True)
-    end = keys.offset(n + 1)
-    rows = {piv: row for piv, row in engine(q, keys).items() if piv < end}
     return BasisTable(pres.alphabet, pres.field, ASSOCIATIVE, n, slack, True, pres.fingerprint,
-                      keys, rows)
+                      keys, engine(q, keys).below(n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -737,10 +798,10 @@ def engine_calls(monkeypatch, pres, n, mode):
     """The engines basis_upto(pres, n, mode) calls, in order, as
     (name, associative) pairs: the bimodule engine calls the rules engine
     for A_D, then one for M."""
-    from digrow import bimodule, completion, presentation
+    from digrow import bimodule, completion, congruence, presentation
 
     calls = []
-    for module, name in ((presentation, "_congruence_rows"), (presentation, "_elimination_rows"),
+    for module, name in ((congruence, "_congruence_rows"), (presentation, "_elimination_rows"),
                          (completion, "_rule_rows"),
                          (bimodule, "_bimodule_rows"), (bimodule, "_triple_congruence"),
                          (bimodule, "_triple_elimination")):
@@ -1245,7 +1306,7 @@ def test_reduce_terms_ignores_pair_order_and_repeats(table, pairs, data):
 def test_basis_upto_restores_gc_state(name, monkeypatch):
     import gc
 
-    from digrow import bimodule, completion, presentation
+    from digrow import bimodule, completion, congruence, presentation
 
     pres = dense(QQ) if name == "dense" else fixture(name)
     was = gc.isenabled()
@@ -1263,7 +1324,7 @@ def test_basis_upto_restores_gc_state(name, monkeypatch):
             seen.append(gc.isenabled())
             raise RuntimeError("engine failed")
 
-        for module, engine in ((presentation, "_congruence_rows"),
+        for module, engine in ((congruence, "_congruence_rows"),
                                (presentation, "_elimination_rows"), (bimodule, "_bimodule_rows"),
                                (completion, "_rule_rows")):
             monkeypatch.setattr(module, engine, failing)

@@ -9,10 +9,14 @@ GF(7) and GF(32003), with random identity schemes and slack, and
 saturates each in both modes.  Then, from the same seeded stream, it draws
 `count` // 2 binomial presentations: relators +-([w]@i - [w']@j) and
 +-[w]@i of length 1 to 4 over 1 to 3 letters, random identity schemes,
-and no explicit table slack, or one of 1 or 2.  Every decoded row, the decoded
+and no explicit table slack, or one of 1 or 2.  Last, it draws `count` // 2
+presentations in the shape of inhomog_ab, which kill most monomials:
+relators [g]@1 + c*([v]@i - [v]@j) with g a generator and v of length 2
+or 3, random identity schemes and slack.  Every decoded row, the decoded
 basis, the per-degree counts and the normal form of one seeded element go
 into a sha256 digest, printed on the last line; a tally of the draws goes
-to stderr.  The first draws are non-binomial in dialgebra mode, so the
+to stderr.  "killed keys" counts the rows, over all tables, that are a
+single monomial.  The first draws are non-binomial in dialgebra mode, so the
 homogeneous ones (all but the "inhomogeneous" count) take the bimodule
 engine there; "associative image homogeneous" counts the draws whose A_D
 is exact.  "triple union-find" counts the binomial draws whose dialgebra
@@ -119,6 +123,25 @@ def binomial_presentation(rng) -> Presentation:
     return Presentation(alphabet, field, tuple(relators), schemes)
 
 
+def killing_presentation(rng) -> Presentation:
+    """A seeded presentation in the shape of inhomog_ab: each relator sets
+    a generator equal to a longer element."""
+    k = rng.randint(1, 2)
+    alphabet = Alphabet(tuple("ab"[:k]))
+    field = rng.choice(FIELDS)
+    relators = []
+    for _ in range(rng.randint(1, 2)):
+        v = bytes(rng.randrange(k) for _ in range(rng.randint(2, 3)))
+        i, j = rng.sample(range(1, len(v) + 1), 2)
+        c = rng.choice(COEFFS)
+        g = Disequence(alphabet, bytes([rng.randrange(k)]), 1)
+        relators.append(DiElement(alphabet, field, {
+            g: 1, Disequence(alphabet, v, i): c, Disequence(alphabet, v, j): -c}))
+    schemes = tuple(t for t in SCHEMES if rng.random() < 0.3)
+    return Presentation(alphabet, field, tuple(relators), schemes,
+                        rng.choice((None, None, 0, 1, 2)))
+
+
 def triple_union_find(pres: Presentation, cap: int) -> bool:
     """The routing predicate of the union-find on A_D-normal triples, for
     a dialgebra table saturated to cap: binomial input whose A_D has a
@@ -151,6 +174,7 @@ def lines_of(pres: Presentation, rng, tally: Counter, slack=None):
             tally_completion(table, pres, tally)
         yield f"{mode} slack {table.slack} counts {table.counts_by_degree()}"
         for piv, row in table.rows.items():
+            tally["killed keys"] += len(row.terms) == 1
             yield f"{piv.format()}: {row.format()}"
         yield "basis " + " ".join(m.format() for m in table.basis)
         x = element(rng, pres.alphabet, pres.field, 3, n, mode == ASSOCIATIVE)
@@ -186,8 +210,14 @@ def main(argv=None) -> int:
         digest.update(f"slack {slack}\n".encode())
         for line in lines_of(pres, rng, tally, slack):
             digest.update(line.encode() + b"\n")
+    for _ in range(args.count // 2):
+        pres = killing_presentation(rng)
+        tally["killing " + pres.field.name] += 1
+        for line in lines_of(pres, rng, tally):
+            digest.update(line.encode() + b"\n")
     elapsed = time.perf_counter() - start
-    print(f"{args.count} + {args.count // 2} binomial presentations (seed {args.seed}): "
+    print(f"{args.count} + {args.count // 2} binomial + {args.count // 2} killing "
+          f"presentations (seed {args.seed}): "
           + ", ".join(f"{key} {tally[key]}" for key in sorted(tally)), file=sys.stderr)
     print(f"{elapsed:.1f} s", file=sys.stderr)
     print(digest.hexdigest())
