@@ -1,6 +1,8 @@
 """The bimodule saturation engine: homogeneous dialgebra input worked on
 triples (u, c, v) of A_D (x) kX (x) A_D; the digrow.presentation docstring
-says why that is sound.  digrow.presentation._saturation_rows imports this
+says why that is sound.  Binomial input is saturated by a union-find over
+the normal triples of each degree, with no field arithmetic, other input
+by elimination on them.  digrow.presentation._saturation_rows imports this
 module on first use, so a run that never takes the engine does not
 compile it.
 """
@@ -12,7 +14,6 @@ from copy import copy
 from math import gcd, lcm
 
 from . import completion
-from .congruence import _class_rows, _union_find
 from .monomial import KeyCodec
 from .presentation import (
     _KILLED,
@@ -42,9 +43,15 @@ class TripleRows(Mapping):
     words of the same length, so these rows and M's are the reduced
     echelon form of the span.  That row is computed whenever it is read
     and never stored.
+
+    No word shorter than A's shortest leading word, _free, contains one,
+    so every triple of degree _free or less is normal, and so is every
+    key below _flat = offset(_free + 1): those are read with no lookup in
+    A's rules.
     """
 
-    __slots__ = ("_keys", "_arows", "_aoff", "_p", "_m", "_top", "_end", "_pow", "_normal")
+    __slots__ = ("_keys", "_arows", "_aoff", "_p", "_m", "_top", "_end", "_pow", "_normal",
+                 "_free", "_flat")
 
     def __init__(self, keys: KeyCodec, akeys: KeyCodec, arows: completion.RuleRows, p: int):
         self._keys, self._arows, self._p = keys, arows, p
@@ -57,6 +64,9 @@ class TripleRows(Mapping):
         self._aoff = [-1] + [akeys.offset(t) for t in range(1, keys.cap)]
         # _normal[l]: the word values of A's normal words of length l
         self._normal = [arows.normal_words(t) for t in range(keys.cap)]
+        # with no rule, every word A holds, up to length cap - 1, is normal
+        self._free = min(map(akeys.length, arows._rules), default=keys.cap)
+        self._flat = keys.offset(self._free + 1)
 
     def below(self, top: int) -> TripleRows:
         """These rows without those of degree above top."""
@@ -69,6 +79,8 @@ class TripleRows(Mapping):
         """A's normal form of the word value w of the given length, as
         (d, [(word value, c)]) for the word sum(c*word)/d; None when the
         word is normal."""
+        if length < self._free:
+            return None
         o = self._aoff[length]
         row = self._arows.get(o + w)
         if row is None:
@@ -79,6 +91,8 @@ class TripleRows(Mapping):
     def _tensor(self, x: int):
         """(d, [(key, c)]): the triple x as the sum of c*key over d, every
         key a normal triple; None when x is one."""
+        if x < self._flat:
+            return None
         t, m, w = self._keys.split(x)
         lv = t - m
         step = self._pow[lv + 1]
@@ -105,9 +119,12 @@ class TripleRows(Mapping):
                 parts.append((nf[0], c, nf[1]))
         return [(y, c * (L // d) * cy) for d, c, ys in parts for y, cy in ys]
 
-    def _triples(self, t: int) -> list[int]:
-        """The normal triples of degree t, ascending."""
+    def _triples(self, t: int) -> list[int] | range:
+        """The normal triples of degree t, ascending: all its keys when t
+        is at most _free."""
         off, pw, normal = self._keys.offset(t), self._pow, self._normal
+        if t <= self._free:
+            return range(off, off + t * pw[t])
         k = pw[1]
         out: list[int] = []
         for i in range(t):
@@ -157,14 +174,8 @@ class TripleRows(Mapping):
         return row
 
     def __contains__(self, x) -> bool:
-        if x >= self._end:
-            return False
-        t, m, w = self._keys.split(x)
-        lv = t - m
-        wu, rest = divmod(w, self._pow[lv + 1])
-        arows, aoff = self._arows, self._aoff
-        return (aoff[m - 1] + wu in arows or aoff[lv] + rest % self._pow[lv] in arows
-                or x in self._m)
+        # a pivot is a triple of M's or a key that is no normal triple
+        return x < self._end and (x in self._m or self._tensor(x) is not None)
 
     def __iter__(self):
         return (x for x in range(self._end) if x in self)
@@ -192,8 +203,8 @@ def _bimodule_rows(q: Presentation, keys: KeyCodec) -> TripleRows:
     candidate is written as a sum of nf(u) c nf(v) first, and only g |- .
     and . -| g are applied, since the two middle-forgetting maps vanish on
     M.  Scheme instances range over the normal triples M leaves in the
-    basis.  Binomial q takes a union-find (_triple_congruence), other q
-    elimination (_triple_elimination).
+    basis.  Binomial q takes a union-find (_triple_congruence), other
+    homogeneous q elimination (_triple_elimination).
     """
     akeys = KeyCodec(q.alphabet, keys.cap - 1, True)
     arows = completion._rule_rows(associated_associative(q), akeys)
@@ -203,16 +214,27 @@ def _bimodule_rows(q: Presentation, keys: KeyCodec) -> TripleRows:
 
 
 def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
-    """M's rows for binomial q, by the union-find of _congruence_rows over
-    the normal triples of each degree.
+    """M's rows for binomial q, by a union-find over the normal triples of
+    each degree, in key order.
 
     A of binomial q is binomial, so nf of a word is one word or 0, and
     every relator, image and scheme instance is, on normal triples, the
-    difference of two, one, or nothing: classes stay plain unions.
+    difference of two, one, or nothing: classes stay plain unions.  The
+    ideal at degree t is spanned by the differences inside each class and
+    the triples of killed classes.  Each class is rooted at its smallest
+    triple, and its reduced echelon rows are m + (1, {root: -1}) for every
+    other member m, one row shared by the class (-1 read mod p over
+    GF(p)), or _KILLED for every member of a killed class.  Classes at
+    degree t come from the images of the rows at degree t - 1, read back
+    from M, the relators of length t and the scheme instances of total
+    degree t.  Up to degree rows._free every triple is normal, and a
+    triple's position among them is its offset in the degree.
     """
-    keys, m = rows._keys, rows._m
+    keys, m, free = rows._keys, rows._m, rows._free
     p, cap, k = q.field.p, keys.cap, q.alphabet.size
     minus = -1 % p if p else -1
+    arows, aoff, pw = rows._arows, rows._aoff, rows._pow
+    short = keys.offset(free)  # below it, gu and vg are normal for every triple (u, c, v)
 
     def normal(x):
         """The normal triple x is, or None when x is 0."""
@@ -221,11 +243,11 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
             return x
         return nf[1][0][0] if nf[1] else None
 
-    arows, aoff, pw = rows._arows, rows._aoff, rows._pow
-
     def word(length, w):
         """A's normal word of the word value w of that length, or None
         for 0."""
+        if length < free:
+            return w
         o = aoff[length]
         row = arows.get(o + w)
         if row is None:
@@ -233,19 +255,44 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
         return next(iter(row[1])) - o if row[1] else None
 
     def images(x):
-        """The normal triples of g |- x and of x -| g, g ascending, for the
-        normal triple x = (u, c, v): (nf(gu), c, v) and (u, c, nf(vg))."""
+        """The normal triples (u, c, nf(vg)) of x -| g and (nf(gu), c, v) of
+        g |- x, g ascending, None for 0, for the normal triple x = (u, c, v),
+        in the order of KeyCodec.images(x)[k:3*k]."""
+        ys = keys.images(x)[k:3 * k]
+        if x < short:
+            return ys
         t, mid, w = keys.split(x)
         lv = t - mid
-        wu, rest = divmod(w, pw[lv + 1])
-        c, wv = divmod(rest, pw[lv])
-        top = keys.offset(t + 1) + (mid - 1) * pw[t + 1]
-        left = [word(mid, g * pw[mid - 1] + wu) for g in range(k)]
-        right = [word(lv + 1, wv * k + g) for g in range(k)]
-        # as KeyCodec.encode lays out [u' c v']@(|u'|+1) of degree t + 1
-        return ([None if a is None else top + pw[t + 1] + (a * k + c) * pw[lv] + wv
-                 for a in left]
-                + [None if b is None else top + (wu * k + c) * pw[lv + 1] + b for b in right])
+        wu, wv = w // pw[lv + 1], w % pw[lv]
+        out = []
+        for g, y in enumerate(ys):
+            # the word value of vg or gu, its length, and the key's step per unit of it
+            if g < k:
+                b, n, step = wv * k + g, lv + 1, 1
+            else:
+                b, n, step = (g - k) * pw[mid - 1] + wu, mid, k * pw[lv]
+            nb = word(n, b)
+            out.append(None if nb is None else y + (nb - b) * step)
+        return out
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def join(a, b):
+        # a = b for normal triples a, b, either of them None for 0; a class
+        # is rooted at its smallest position, and keeps the kill of either side
+        if a is None or b is None:
+            if a is not None or b is not None:
+                killed[find(pos(b if a is None else a))] = 1
+            return
+        a, b = find(pos(a)), find(pos(b))
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            killed[a] |= killed[b]
 
     relators: dict[int, list] = {}
     for r in q.relators:
@@ -253,35 +300,27 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
         if t <= cap:
             relators.setdefault(t, []).append([normal(keys.encode(x)) for x in r.terms])
     basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
-    prev: list[int] = []
+    prev: list[int] | range = []
+    dead = [None] * (2 * k)  # the images of a killed triple
     for t in range(1, cap + 1):
         members = rows._triples(t)
-        index = {x: i for i, x in enumerate(members)}
-        find, union, killed = _union_find(len(members))
-
-        def join(a, b):
-            # a = b for normal triples a, b, either of them None for 0
-            if a is None:
-                if b is not None:
-                    killed[find(index[b])] = 1
-            elif b is None:
-                killed[find(index[a])] = 1
-            else:
-                union(index[a], index[b])
-
+        if t <= free:  # all keys of the degree, each at its offset
+            pos = members.start.__rsub__
+        else:
+            pos = {x: i for i, x in enumerate(members)}.__getitem__
+        parent, killed = list(range(len(members))), bytearray(len(members))
         root_images: dict = {}
         for x in prev:
             row = m.get(x)
             if row is None:  # a root: its class's other members carry the edges
                 continue
             if row is _KILLED:
-                for y in images(x):
-                    join(y, None)
-                continue
-            (r,) = row[1]
-            ys = root_images.get(r)
-            if ys is None:
-                ys = root_images[r] = images(r)
+                ys = dead
+            else:
+                (r,) = row[1]
+                ys = root_images.get(r)
+                if ys is None:
+                    ys = root_images[r] = images(r)
             for a, b in zip(images(x), ys):
                 join(a, b)
         for terms in relators.get(t, ()):
@@ -289,8 +328,20 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
         if q.schemes:
             basis[t - 1] = [keys.split(x) for x in prev if x not in m]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
-                join(normal(m1), normal(m2))
-        _class_rows(m, members, find, killed, minus, m, _KILLED)
+                if t > free:
+                    m1, m2 = normal(m1), normal(m2)
+                join(m1, m2)
+        # a root is its class's smallest key, so its row exists before any
+        # other member comes up
+        shared: dict = {}
+        for i, x in enumerate(members):
+            r = find(i)
+            if killed[r]:
+                m[x] = _KILLED
+            elif r != i:
+                m[x] = shared[r]
+            else:
+                shared[r] = (1, {x: minus})
         prev = members
 
 
@@ -301,7 +352,7 @@ def _triple_elimination(q: Presentation, rows: TripleRows) -> None:
     p, cap, k = q.field.p, keys.cap, q.alphabet.size
 
     def images(x):
-        # g |- x and x -| g: the middle blocks of KeyCodec.images
+        # x -| g and g |- x: the middle blocks of KeyCodec.images
         return keys.images(x)[k:3 * k]
 
     users: dict = {}

@@ -4,7 +4,7 @@ A presentation is an alphabet, a scalar field, a list of relators and a list
 of identity schemes.  The ideal the relators and schemes generate is built
 degree by degree into a fully inter-reduced echelon set.  Pivot monomials
 of the echelon rows are exactly the monomials that reduce; everything else
-is the basis.  Four engines build the same rows, and the input's shape
+is the basis.  Three engines build the same rows, and the input's shape
 picks one (_saturation_rows):
 
 - homogeneous input in associative mode takes the rules engine
@@ -16,29 +16,24 @@ picks one (_saturation_rows):
   normal words are listed and counted by an automaton of the leading
   words (completion.RuleRows);
 - homogeneous input in dialgebra mode takes the bimodule engine
-  (digrow.bimodule, imported on first use), unless it is binomial with an
-  A_D free below the cap.  The axioms
+  (digrow.bimodule, imported on first use).  The axioms
   (x -| y) |- z = (x |- y) |- z and x -| (y -| z) = x -| (y |- z) make the
   left factor of |- and the right factor of -| act only through their
   image in the associated associative algebra A_D.  So the monomial
   [u c v]@(|u|+1) = u |- c -| v is worked with as a triple (u, c, v) of
   A_D (x) kX (x) A_D.  The engine stores A_D's rules and the rows of M,
   the sub-bimodule the relators and scheme instances generate, on triples
-  whose u and v are A_D-normal: by a union-find for binomial input, whose
-  A_D is binomial too, and by elimination otherwise.  A monomial whose u
-  or v is not normal has the row [u c v] - nf(u) c nf(v), reduced against
-  M, computed whenever it is read (bimodule.TripleRows);
-- binomial dialgebra input (homogeneous, every relator c*m or
-  c*m1 - c*m2) whose A_D has no relation below the cap takes a union-find
-  over the monomials of each degree, with no field arithmetic
-  (digrow.congruence, imported on first use);
-- inhomogeneous input, in either mode, takes elimination: seed rows, then
-  close under multiplication by single generators on both sides under both
-  products, reducing every candidate as it arrives.
-
-The last two return a KernelRows: the live rows in a dict, and each killed
-monomial as one byte in the key layout.  On input such as inhomog_ab,
-whose relator puts b in the ideal, nearly every monomial is killed.
+  whose u and v are A_D-normal: for binomial input (homogeneous, every
+  relator c*m or c*m1 - c*m2), whose A_D is binomial too, by a union-find
+  with no field arithmetic, and by elimination otherwise.  A monomial
+  whose u or v is not normal has the row [u c v] - nf(u) c nf(v), reduced
+  against M, computed whenever it is read (bimodule.TripleRows);
+- inhomogeneous input, in either mode, and only that, takes elimination:
+  seed rows, then close under multiplication by single generators on both
+  sides under both products, reducing every candidate as it arrives.  It
+  returns a KernelRows: the live rows in a dict, and each killed monomial
+  as one byte in the key layout.  On input such as inhomog_ab, whose
+  relator puts b in the ideal, nearly every monomial is killed.
 
 Truncation semantics matter.  Saturation runs to degree n + slack and the
 table reports degrees up to n.  A kept row never has a term beyond the cap
@@ -276,8 +271,8 @@ _ALIVE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class KernelRows(Mapping):
-    """The kernel rows {pivot: (d, tail)} that _elimination_rows and
-    _congruence_rows store, read-only.
+    """The kernel rows {pivot: (d, tail)} that _elimination_rows stores,
+    read-only.
 
     The live rows are a dict; a killed key, whose row is _KILLED, is a 1 in
     the bytearray _dead, in the KeyCodec layout: one byte, not a dict slot
@@ -331,7 +326,10 @@ class KernelRows(Mapping):
         return [x for x in compress(range(start, stop), alive) if x not in live]
 
     def pivot_counts(self, n: int) -> list[int]:
-        """How many pivots these rows hold at each degree 1..n."""
+        """How many pivots these rows hold at each degree 1..n: none when
+        the rows are empty, as a relator-free table's are."""
+        if not (self._live or self._dead):
+            return [0] * n
         offset, dead = self._keys.offset, self._dead
         return [c + dead.count(1, offset(t), offset(t + 1))
                 for t, c in zip(range(1, n + 1), _pivot_counts(self._live, self._keys, n))]
@@ -566,7 +564,8 @@ def _binomial(q: Presentation) -> bool:
 
     The ideal of such a presentation is spanned, degree by degree, by
     differences of monomials and by monomials (scheme instances are
-    differences too), which is what _congruence_rows needs.
+    differences too), and so is its A_D's, which is what the union-find
+    of bimodule._triple_congruence needs.
     """
     # c and -c sum to p: 0 over Q, and p itself for residues in [0, p)
     p = q.field.p
@@ -576,25 +575,13 @@ def _binomial(q: Presentation) -> bool:
     )
 
 
-def _free_below(q: Presentation, cap: int) -> bool:
-    """True when A_D, the associated associative algebra of q, has no
-    relation among words shorter than cap: it has no relator of length
-    < cap, and no identity scheme over two or more letters once cap > 2,
-    since a scheme makes the words of length 2 commute there."""
-    a = associated_associative(q)
-    return (all(r.max_length() >= cap for r in a.relators)
-            and not (a.schemes and q.alphabet.size > 1 and cap > 2))
-
-
 def _saturation_rows(q: Presentation, keys: KeyCodec):
     """The kernel rows of q up to keys.cap, a read-only mapping from the
     engine q's shape routes to.  Inhomogeneous input goes to
     _elimination_rows (which returns a KernelRows).  Homogeneous input in
     associative mode goes to completion._rule_rows (a completion.RuleRows),
     and in dialgebra mode to bimodule._bimodule_rows (a
-    bimodule.TripleRows), except binomial input whose A_D is free below
-    the cap: there the triples are all the monomials, and _congruence_rows
-    (a KernelRows) is faster.  All give the same rows."""
+    bimodule.TripleRows).  All give the same rows."""
     # the engine modules are imported here, not at the top: compiling one
     # at start-up would cost every run that does not take it about 0.4 MiB
     # of peak memory
@@ -604,10 +591,6 @@ def _saturation_rows(q: Presentation, keys: KeyCodec):
         from . import completion
 
         return completion._rule_rows(q, keys)
-    if _binomial(q) and _free_below(q, keys.cap):
-        from . import congruence
-
-        return congruence._congruence_rows(q, keys)
     from . import bimodule
 
     return bimodule._bimodule_rows(q, keys)
@@ -714,10 +697,8 @@ class BasisTable:
     def counts_by_degree(self) -> list[int]:
         """Basis size per degree 1..degree_bound, no materialization needed."""
         k, associative, n = self.alphabet.size, self.mode == ASSOCIATIVE, self.degree_bound
-        counts = [universe_count(k, t, associative) for t in range(1, n + 1)]
-        if self._rows:
-            counts = [c - d for c, d in zip(counts, self._rows.pivot_counts(n))]
-        return counts
+        return [universe_count(k, t, associative) - d
+                for t, d in zip(range(1, n + 1), self._rows.pivot_counts(n))]
 
     def _literals(self, keys: list[int]) -> list[str]:
         """The literals Disequence.format() writes for ascending keys,
@@ -775,17 +756,15 @@ def basis_upto(
     engine: a Gröbner-Shirshov basis completed degree by degree to
     n + slack, whose rules rewrite every other word to its normal form
     when its row is read.  Homogeneous input in dialgebra mode takes the
-    bimodule engine, unless it is binomial and its A_D free below
-    n + slack: by the axioms (x -| y) |- z = (x |- y) |- z and
+    bimodule engine: by the axioms (x -| y) |- z = (x |- y) |- z and
     x -| (y -| z) = x -| (y |- z), u and v act on [u c v]@(|u|+1) only
     through their image in A_D, whose rules the engine completes, so it
     saturates M on triples (u, c, v) with u and v A_D-normal, by a
     union-find on binomial input and by elimination otherwise.  Every
     other monomial has the row [u c v] - nf(u) c nf(v), reduced against M,
-    and the table computes that row whenever it is read.  The binomial
-    dialgebra input it leaves takes the congruence engine, and
-    inhomogeneous input elimination; those two store each killed key as
-    one byte of a KernelRows.  All four give the same rows.
+    and the table computes that row whenever it is read.  Only
+    inhomogeneous input takes elimination, which stores each killed key
+    as one byte of a KernelRows.  All three give the same rows.
     """
     mode = _norm_mode(mode)
     check_degree_bound(n)

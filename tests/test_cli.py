@@ -250,7 +250,7 @@ def test_verify_commutative_fixture(capsys):
 
 def test_verify_saturates_each_mode_once(capsys, monkeypatch):
     # every saturation runs one of the engines behind basis_upto
-    from digrow import bimodule, completion, congruence
+    from digrow import bimodule, completion
 
     calls = []
 
@@ -261,20 +261,24 @@ def test_verify_saturates_each_mode_once(capsys, monkeypatch):
             return engine(q, keys)
         return wrapped
 
-    for module, name in ((congruence, "_congruence_rows"), (presentation, "_elimination_rows"),
-                         (completion, "_rule_rows"), (bimodule, "_bimodule_rows")):
+    for module, name in ((presentation, "_elimination_rows"), (completion, "_rule_rows"),
+                         (bimodule, "_bimodule_rows")):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
-    code, _, _ = run(capsys, "verify", COMM_A, "--max-degree", "5")
-    assert code == 0
-    assert sorted(calls) == [("_congruence_rows", DIALGEBRA, 5),
-                             ("_rule_rows", ASSOCIATIVE, 5)]
     # the bimodule engine completes A_D itself, one degree below its cap
+    for path in (COMM_A, COMM_AB):
+        calls.clear()
+        code, _, _ = run(capsys, "verify", path, "--max-degree", "5")
+        assert code == 0
+        assert sorted(calls) == [("_bimodule_rows", DIALGEBRA, 5),
+                                 ("_rule_rows", ASSOCIATIVE, 4),
+                                 ("_rule_rows", ASSOCIATIVE, 5)]
+    # inhomogeneous input takes elimination, to the file's slack; its
+    # associative image is homogeneous and takes the rules engine
     calls.clear()
-    code, _, _ = run(capsys, "verify", COMM_AB, "--max-degree", "5")
+    code, _, _ = run(capsys, "verify", INHOMOG, "--max-degree", "3")
     assert code == 0
-    assert sorted(calls) == [("_bimodule_rows", DIALGEBRA, 5),
-                             ("_rule_rows", ASSOCIATIVE, 4),
-                             ("_rule_rows", ASSOCIATIVE, 5)]
+    assert sorted(calls) == [("_elimination_rows", DIALGEBRA, 5),
+                             ("_rule_rows", ASSOCIATIVE, 3)]
 
 
 def test_verify_and_checks_read_keys_not_the_basis(capsys, monkeypatch):
@@ -647,15 +651,16 @@ def test_bimodule_engine_is_imported_only_when_routed(tmp_path):
     script = (
         "import sys\n"
         "from digrow.cli import main\n"
-        f"for path in {[COMM_A, INHOMOG, FREE_AB]!r}:\n"
+        f"for path in {[INHOMOG, FREE_AB]!r}:\n"
         "    for mode in ('dialgebra', 'assoc'):\n"
         "        assert main(['growth', path, '--max-degree', '4', '--mode', mode]) == 0\n"
-        f"for path in {[COMM_AB, str(dense)]!r}:\n"
+        f"for path in {[COMM_A, COMM_AB, str(dense)]!r}:\n"
         "    assert main(['growth', path, '--max-degree', '4', '--mode', 'assoc']) == 0\n"
         "assert 'digrow.bimodule' not in sys.modules\n"
-        f"assert main(['growth', {COMM_AB!r}, '--max-degree', '4']) == 0\n"
+        f"assert main(['growth', {COMM_A!r}, '--max-degree', '4']) == 0\n"
         "assert 'digrow.bimodule' in sys.modules\n"
-        f"assert main(['growth', {str(dense)!r}, '--max-degree', '4']) == 0\n"
+        f"for path in {[COMM_AB, str(dense)]!r}:\n"
+        "    assert main(['growth', path, '--max-degree', '4']) == 0\n"
     )
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

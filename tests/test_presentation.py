@@ -33,7 +33,6 @@ from digrow.presentation import (
     _binomial,
     _effective_slack,
     _elimination_rows,
-    _free_below,
     _insert_row,
     _KILLED,
     _integer_terms,
@@ -50,7 +49,6 @@ from digrow.presentation import (
 from digrow import fixture_path
 from digrow.bimodule import TripleRows, _bimodule_rows
 from digrow.completion import RuleRows, _rule_rows
-from digrow.congruence import _congruence_rows
 from digrow.growth import special_basis_check
 
 A = Alphabet.of("a")
@@ -300,7 +298,7 @@ def test_scheme_combination_counts_match_oracle():
     )
 
 
-# ===== the congruence engine against elimination ===========================
+# ===== binomial input against elimination ==================================
 
 GF7 = PrimeField(7)
 
@@ -330,7 +328,9 @@ def binomial_presentations(draw):
 
 
 @given(binomial_presentations(), st.booleans())
-def test_congruence_rows_match_elimination_and_oracle(pres, assoc):
+def test_binomial_rows_match_elimination_and_oracle(pres, assoc):
+    # the union-find on normal triples in dialgebra mode, the rules engine
+    # in associative mode
     from oracle import o_basis_counts
 
     q = associated_associative(pres) if assoc else pres
@@ -339,7 +339,7 @@ def test_congruence_rows_match_elimination_and_oracle(pres, assoc):
     # caps below a relator's length too
     for cap in (1, 2, {1: 12, 2: 6, 3: 4}[k]):
         keys = KeyCodec(q.alphabet, cap, assoc)
-        assert _congruence_rows(q, keys) == _elimination_rows(q, keys)
+        assert (_rule_rows if assoc else _bimodule_rows)(q, keys) == _elimination_rows(q, keys)
 
     # the span of c*(m1 - m2) is the span of m1 - m2 over every field
     rels = [
@@ -395,18 +395,23 @@ def test_binomial_predicate():
     assert _binomial(Presentation(AB, gf2, (parse_element("[a b]@1 + [b a]@1", AB, gf2),)))
 
 
-def test_congruence_classes_share_one_tail():
-    for field, minus in ((QQ, -1), (GF7, 6)):
-        pres = Presentation(AB, field, (parse_element("[b b]@1", AB, field),),
-                            ("lcomm", "rcomm"))
-        rows = _congruence_rows(pres, KeyCodec(AB, 4))
+def test_triple_classes_share_one_tail():
+    # M's rows on normal triples: with A_D's rules b b -> 0 and b a -> a b
+    # from degree 3 on, and on comm_a, whose triples are all normal
+    cases = [(Presentation(AB, field, (parse_element("[b b]@1", AB, field),), ("lcomm", "rcomm")),
+              KeyCodec(AB, 4), minus) for field, minus in ((QQ, -1), (GF7, 6))]
+    cases.append((fixture("comm_a"), KeyCodec(A, 8), -1))
+    for pres, keys, minus in cases:
+        m = _bimodule_rows(pres, keys)._m
         # one (d, tail) row per class, shared by its members
-        one_per_tail = {tuple(row[1].items()): row for row in rows.values()}
-        assert all(one_per_tail[tuple(row[1].items())] is row for row in rows.values())
-        assert one_per_tail[()] == (1, {})  # the killed monomials
-        for d, tail in rows.values():
+        one_per_tail = {tuple(row[1].items()): row for row in m.values()}
+        assert all(one_per_tail[tuple(row[1].items())] is row for row in m.values())
+        # the killed triples: [b b]@1 and its images
+        assert (() in one_per_tail) == (pres.alphabet == AB)
+        assert one_per_tail.get((), _KILLED) is _KILLED
+        for d, tail in m.values():
             assert d == 1 and set(tail.values()) <= {minus}
-        live = Counter(id(row) for row in rows.values() if row[1])
+        live = Counter(id(row) for row in m.values() if row[1])
         assert max(live.values()) > 1
 
 
@@ -456,7 +461,7 @@ def assert_reads_as(rows, ref: dict, keys, top: int):
     lambda p: any(len(r.terms) == 1 for r in p.relators))),
     st.booleans(), st.sampled_from([None, 0, 1, 2]))
 def test_byte_store_reads_as_dict_store(pres, assoc, slack):
-    # the rows of both engines that store killed keys as bytes, trimmed or
+    # the rows elimination stores with killed keys as bytes, trimmed or
     # not, against the dict store of the same closure
     from oracle import o_elimination_rows
 
@@ -465,12 +470,11 @@ def test_byte_store_reads_as_dict_store(pres, assoc, slack):
     keys = KeyCodec(q.alphabet, n + _effective_slack(q, slack), assoc)
     ref = o_elimination_rows(q, keys)
     trimmed = {x: row for x, row in ref.items() if x < keys.offset(n + 1)}
-    for engine in [_elimination_rows] + [_congruence_rows] * _binomial(q):
-        rows = engine(q, keys)
-        assert isinstance(rows, KernelRows) and all(r is not _KILLED for r in rows._live.values())
-        assert rows._dead.count(1) == sum(r is _KILLED for r in ref.values())
-        assert_reads_as(rows, ref, keys, keys.cap)
-        assert_reads_as(rows.below(n), trimmed, keys, n)
+    rows = _elimination_rows(q, keys)
+    assert isinstance(rows, KernelRows) and all(r is not _KILLED for r in rows._live.values())
+    assert rows._dead.count(1) == sum(r is _KILLED for r in ref.values())
+    assert_reads_as(rows, ref, keys, keys.cap)
+    assert_reads_as(rows.below(n), trimmed, keys, n)
 
 
 @st.composite
@@ -649,33 +653,59 @@ def table_from_rows(pres, n, slack, engine):
                       keys, engine(pres, keys).below(n))
 
 
-@given(st.one_of(triple_binomial_presentations(), routed_presentations()),
-       st.sampled_from([None, 1, 2]), st.data())
-def test_triple_tables_read_as_stored_rows(pres, slack, data):
-    # every public read of a table whose rows are computed on read, against
-    # a table of the rows the congruence or elimination engine stores
-    n = {1: 5, 2: 4, 3: 3}[pres.alphabet.size]
-    binomial = _binomial(pres)
-    assume(not (binomial and _free_below(pres, n + (slack or 0))))
-    table = basis_upto(pres, n, slack=slack)
-    assert isinstance(table._rows, TripleRows)
-    ref = table_from_rows(pres, n, slack or 0, _congruence_rows if binomial else _elimination_rows)
+def assert_table_reads_as(table, ref, data):
+    """Every public read of table answers as the same read of ref: rows,
+    pivots, basis, counts, json, membership a degree past the bound, and
+    normal forms of monomials and of a drawn element."""
+    alphabet, field, n = table.alphabet, table.field, table.degree_bound
     assert table.rows == ref.rows
     assert table.pivots == ref.pivots
     assert table.basis == ref.basis
     assert table.counts_by_degree() == ref.counts_by_degree()
     assert table.to_json() == ref.to_json()
-    monos = [m for t in range(1, n + 2) for m in monomials(pres.alphabet, t)]
+    monos = [m for t in range(1, n + 2) for m in monomials(alphabet, t)]
     assert [m in table for m in monos] == [m in ref for m in monos]
     monos = [m for m in monos if len(m.word) <= n]
     for m in monos:
-        x = DiElement.monomial(m, field=pres.field)
+        x = DiElement.monomial(m, field=field)
         assert normal_form(x, table) == normal_form(x, ref)
     terms = data.draw(st.lists(st.tuples(st.sampled_from(monos), st.integers(-3, 3)), max_size=4))
-    x = DiElement.zero(pres.alphabet, pres.field)
+    x = DiElement.zero(alphabet, field)
     for m, c in terms:
-        x = x + DiElement.monomial(m, c, pres.field)
+        x = x + DiElement.monomial(m, c, field)
     assert normal_form(x, table) == normal_form(x, ref)
+
+
+@given(st.one_of(triple_binomial_presentations(), binomial_presentations(),
+                 routed_presentations()),
+       st.sampled_from([None, 1, 2]), st.data())
+def test_triple_tables_read_as_stored_rows(pres, slack, data):
+    # every public read of a table whose rows are computed on read, against
+    # a table of the rows elimination stores; binomial draws take the
+    # union-find, with A_D free below the cap or not
+    assume(pres.relators or pres.schemes)
+    n = {1: 5, 2: 4, 3: 3}[pres.alphabet.size]
+    table = basis_upto(pres, n, slack=slack)
+    assert isinstance(table._rows, TripleRows)
+    assert_table_reads_as(table, table_from_rows(pres, n, slack or 0, _elimination_rows), data)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=5)
+def test_triple_fast_path_stops_at_the_shortest_rule(n, data):
+    # A_D has the rule a a a -> 0 from cap 4 on: every triple up to degree 3
+    # is normal and read without A_D, and from degree 4 on some are not
+    pres = Presentation(A, QQ, (E("[a a a]@1", A),))
+    table = basis_upto(pres, n)
+    rows = table._rows
+    assert isinstance(rows, TripleRows) and rows._free == 3
+    assert rows._flat == table._keys.offset(4)
+    assert all(isinstance(rows._triples(t), range) for t in range(1, 4))
+    assert not any(isinstance(rows._triples(t), range) for t in range(4, n + 1))
+    # (u, a, v) with |u| + |v| = 3 and neither u nor v a a a
+    assert n < 4 or len(rows._triples(4)) == 2
+    assert_table_reads_as(table, table_from_rows(pres, n, 0, _elimination_rows), data)
 
 
 # ===== the rules engine against elimination ===============================
@@ -726,26 +756,24 @@ def associative_table_from_rows(pres, n, slack, engine):
 @given(homogeneous_presentations(), st.sampled_from([None, 1, 2]), st.data())
 def test_rule_tables_read_as_stored_rows(pres, slack, data):
     # every public read of an associative table of homogeneous input, which
-    # the rules engine serves, against tables of the rows that elimination
-    # and, on binomial input, the congruence engine store
+    # the rules engine serves, against a table of the rows elimination
+    # stores
     n = {1: 8, 2: 5, 3: 3}[pres.alphabet.size]
     table = basis_upto(pres, n, ASSOCIATIVE, slack)
     q = associated_associative(pres)
     assert isinstance(table._rows, RuleRows) == bool(q.relators or q.schemes)
-    engines = [_elimination_rows] + [_congruence_rows] * _binomial(q)
     monos = [m for t in range(1, n + 2) for m in monomials(pres.alphabet, t, True)]
     inside = [m for m in monos if len(m.word) <= n]
-    for engine in engines:
-        ref = associative_table_from_rows(pres, n, slack or 0, engine)
-        assert table.rows == ref.rows
-        assert table.pivots == ref.pivots
-        assert table.basis == ref.basis
-        assert table.counts_by_degree() == ref.counts_by_degree()
-        assert table.to_json() == ref.to_json()
-        assert [m in table for m in monos] == [m in ref for m in monos]
-        for m in inside:
-            x = DiElement.monomial(m, field=pres.field)
-            assert normal_form(x, table) == normal_form(x, ref)
+    ref = associative_table_from_rows(pres, n, slack or 0, _elimination_rows)
+    assert table.rows == ref.rows
+    assert table.pivots == ref.pivots
+    assert table.basis == ref.basis
+    assert table.counts_by_degree() == ref.counts_by_degree()
+    assert table.to_json() == ref.to_json()
+    assert [m in table for m in monos] == [m in ref for m in monos]
+    for m in inside:
+        x = DiElement.monomial(m, field=pres.field)
+        assert normal_form(x, table) == normal_form(x, ref)
     terms = data.draw(st.lists(st.tuples(st.sampled_from(inside), st.integers(-3, 3)),
                                max_size=4))
     x = DiElement.zero(pres.alphabet, pres.field)
@@ -798,11 +826,10 @@ def engine_calls(monkeypatch, pres, n, mode):
     """The engines basis_upto(pres, n, mode) calls, in order, as
     (name, associative) pairs: the bimodule engine calls the rules engine
     for A_D, then one for M."""
-    from digrow import bimodule, completion, congruence, presentation
+    from digrow import bimodule, completion, presentation
 
     calls = []
-    for module, name in ((congruence, "_congruence_rows"), (presentation, "_elimination_rows"),
-                         (completion, "_rule_rows"),
+    for module, name in ((presentation, "_elimination_rows"), (completion, "_rule_rows"),
                          (bimodule, "_bimodule_rows"), (bimodule, "_triple_congruence"),
                          (bimodule, "_triple_elimination")):
         def wrapped(q, keys, _name=name, _engine=getattr(module, name)):
@@ -817,19 +844,17 @@ def engine_calls(monkeypatch, pres, n, mode):
 
 
 def test_routing_picks_the_engine_by_input_shape(monkeypatch):
-    # binomial input whose A_D is not free below the cap: the union-find on
-    # normal triples, after A_D's rules
+    # binomial input: the union-find on normal triples, after A_D's rules,
+    # whether A_D has a rule below the cap or not (comm_a, cross_a,
+    # middle_cap_a; comm_ab's commutativity only reaches A_D's words from
+    # cap 3, the cube's relator from cap 4)
     on_triples = [("bimodule", False), ("rule", True), ("triple_congruence", False)]
-    assert engine_calls(monkeypatch, fixture("comm_ab"), 4, DIALGEBRA) == on_triples
-    assert engine_calls(monkeypatch, fixture("zero_a"), 3, DIALGEBRA) == on_triples
-    # a free A_D: the triples are all the monomials, so the union-find on
-    # monomials; comm_ab's commutativity only reaches A_D's words from cap 3
-    for name in ("comm_a", "cross_a", "middle_cap_a"):
-        assert engine_calls(monkeypatch, fixture(name), 4, DIALGEBRA) == [("congruence", False)]
-    assert engine_calls(monkeypatch, fixture("comm_ab"), 2, DIALGEBRA) == [("congruence", False)]
+    for name, n in (("comm_ab", 4), ("comm_ab", 2), ("zero_a", 3), ("comm_a", 4),
+                    ("cross_a", 4), ("middle_cap_a", 4)):
+        assert engine_calls(monkeypatch, fixture(name), n, DIALGEBRA) == on_triples
     cube = Presentation(A, QQ, (E("[a a a]@1", A),))
-    assert engine_calls(monkeypatch, cube, 3, DIALGEBRA) == [("congruence", False)]
-    assert engine_calls(monkeypatch, cube, 4, DIALGEBRA) == on_triples
+    for n in (3, 4):
+        assert engine_calls(monkeypatch, cube, n, DIALGEBRA) == on_triples
     # homogeneous, non-binomial dialgebra input: the bimodule, whose A_D
     # goes to the rules engine
     for field in (QQ, GF32003):
@@ -1164,6 +1189,32 @@ def test_free_tables_skip_the_cap_but_not_materialization():
                                             for t in range(1, 4)]
 
 
+def test_counts_read_pivot_counts_once_and_no_length(monkeypatch):
+    # from degree 60 a triple table holds more pivots than sys.maxsize, so
+    # len() of its rows would overflow; the counts read pivot_counts once
+    import sys
+
+    seen = []
+    for cls in (TripleRows, KernelRows):
+        def counting(rows, n, _real=cls.pivot_counts):
+            seen.append(type(rows).__name__)
+            return _real(rows, n)
+
+        monkeypatch.setattr(cls, "pivot_counts", counting)
+    pres = Presentation(AB, QQ, (E("[b]@1"),))
+    table = basis_upto(pres, 60, max_universe=10**40)
+    assert isinstance(table._rows, TripleRows)
+    # b is 0, so the table is the free dialgebra on a: t monomials of degree t
+    assert table.counts_by_degree() == list(range(1, 61))
+    assert seen == ["TripleRows"]
+    assert sum(table._rows.pivot_counts(60)) > sys.maxsize
+    # the empty rows of a relator-free table count no pivots, with no key table
+    seen.clear()
+    table = basis_upto(fixture("free_ab"), 60)
+    assert table.counts_by_degree() == [t * 2**t for t in range(1, 61)]
+    assert seen == ["KernelRows"] and table._codec is None
+
+
 def test_tables_are_deterministic():
     a = basis_upto(fixture("comm_ab"), 4)
     b = basis_upto(fixture("comm_ab"), 4)
@@ -1246,7 +1297,7 @@ def test_basistable_invariants():
         assert_kernel_rows(rows, field)
         comm = Presentation(AB, field, (parse_element("[b b]@1", AB, field),),
                             ("lcomm", "rcomm"))
-        assert_kernel_rows(_congruence_rows(comm, KeyCodec(AB, 4)), field)
+        assert_kernel_rows(_bimodule_rows(comm, KeyCodec(AB, 4)), field)
         for table in tables:
             if table.field == field:
                 assert_kernel_rows(table._rows, field)
@@ -1302,11 +1353,11 @@ def test_reduce_terms_ignores_pair_order_and_repeats(table, pairs, data):
     assert reduced_value(got, p) == want
 
 
-@pytest.mark.parametrize("name", ["inhomog_ab", "comm_ab", "dense"])
+@pytest.mark.parametrize("name", ["inhomog_ab", "comm_ab", "comm_a", "dense"])
 def test_basis_upto_restores_gc_state(name, monkeypatch):
     import gc
 
-    from digrow import bimodule, completion, congruence, presentation
+    from digrow import bimodule, completion, presentation
 
     pres = dense(QQ) if name == "dense" else fixture(name)
     was = gc.isenabled()
@@ -1324,8 +1375,7 @@ def test_basis_upto_restores_gc_state(name, monkeypatch):
             seen.append(gc.isenabled())
             raise RuntimeError("engine failed")
 
-        for module, engine in ((congruence, "_congruence_rows"),
-                               (presentation, "_elimination_rows"), (bimodule, "_bimodule_rows"),
+        for module, engine in ((presentation, "_elimination_rows"), (bimodule, "_bimodule_rows"),
                                (completion, "_rule_rows")):
             monkeypatch.setattr(module, engine, failing)
         for state in (True, False):

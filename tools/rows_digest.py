@@ -16,12 +16,14 @@ or 3, random identity schemes and slack.  Every decoded row, the decoded
 basis, the per-degree counts and the normal form of one seeded element go
 into a sha256 digest, printed on the last line; a tally of the draws goes
 to stderr.  "killed keys" counts the rows, over all tables, that are a
-single monomial.  The first draws are non-binomial in dialgebra mode, so the
-homogeneous ones (all but the "inhomogeneous" count) take the bimodule
-engine there; "associative image homogeneous" counts the draws whose A_D
-is exact.  "triple union-find" counts the binomial draws whose dialgebra
-table takes the union-find on A_D-normal triples, the others take the one
-on monomials.  "completions" counts the associative tables that the rules
+single monomial.  Every homogeneous dialgebra table with a relator or a
+scheme takes the bimodule engine: the first draws by elimination on
+A_D-normal triples (all but the "inhomogeneous" count), the binomial
+draws by a union-find on them.  "associative image homogeneous" counts
+the first draws whose A_D is exact.  "triple tables" counts the dialgebra
+tables the bimodule engine serves, and "triple tables free below the cap"
+those whose A_D has no rule below the cap, so that every triple is
+normal.  "completions" counts the associative tables that the rules
 engine serves (every one whose associative image is homogeneous and has a
 relator or a scheme), and "completions with a rule above the relators"
 those with a rule longer than every relator and, given schemes, than the
@@ -55,6 +57,7 @@ from digrow import (
     basis_upto,
     normal_form,
 )
+from digrow.bimodule import TripleRows
 from digrow.completion import RuleRows
 
 FIELDS = (QQ, QQ, PrimeField(7), PrimeField(32003))
@@ -64,7 +67,7 @@ DEGREE = (0, 5, 4, 3)  # table degree bound by alphabet size
 
 
 def binomial(q: Presentation) -> bool:
-    """The congruence-engine predicate: homogeneous, every relator c*m or
+    """The union-find's predicate: homogeneous, every relator c*m or
     c*m1 - c*m2."""
     # c and -c sum to p: 0 over Q, and p itself for residues in [0, p)
     p = q.field.p
@@ -142,14 +145,13 @@ def killing_presentation(rng) -> Presentation:
                         rng.choice((None, None, 0, 1, 2)))
 
 
-def triple_union_find(pres: Presentation, cap: int) -> bool:
-    """The routing predicate of the union-find on A_D-normal triples, for
-    a dialgebra table saturated to cap: binomial input whose A_D has a
-    relator shorter than cap, or a scheme over two or more letters and
-    words of length 2 below cap."""
-    assoc = associated_associative(pres)
-    return binomial(pres) and (any(r.max_length() < cap for r in assoc.relators)
-                               or bool(assoc.schemes) and pres.alphabet.size > 1 and cap > 2)
+def tally_triples(table, tally: Counter) -> None:
+    """Count a dialgebra table the bimodule engine serves, and whether its
+    A_D is free below the cap."""
+    rows = table._rows
+    if isinstance(rows, TripleRows):
+        tally["triple tables"] += 1
+        tally["triple tables free below the cap"] += rows._free == table._keys.cap
 
 
 def tally_completion(table, pres: Presentation, tally: Counter) -> None:
@@ -172,6 +174,8 @@ def lines_of(pres: Presentation, rng, tally: Counter, slack=None):
         table = basis_upto(pres, n, mode, slack)
         if mode == ASSOCIATIVE:
             tally_completion(table, pres, tally)
+        else:
+            tally_triples(table, tally)
         yield f"{mode} slack {table.slack} counts {table.counts_by_degree()}"
         for piv, row in table.rows.items():
             tally["killed keys"] += len(row.terms) == 1
@@ -205,8 +209,6 @@ def main(argv=None) -> int:
         pres = binomial_presentation(rng)
         slack = rng.choice((None, 1, 2))
         tally["binomial " + pres.field.name] += 1
-        tally["triple union-find"] += triple_union_find(pres, DEGREE[pres.alphabet.size]
-                                                        + (slack or 0))
         digest.update(f"slack {slack}\n".encode())
         for line in lines_of(pres, rng, tally, slack):
             digest.update(line.encode() + b"\n")
