@@ -9,8 +9,6 @@ compile it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from copy import copy
 from math import gcd, lcm
 
 from . import completion
@@ -29,16 +27,17 @@ from .presentation import (
 )
 
 
-class TripleRows(Mapping):
-    """The kernel rows {pivot: (d, tail)} of a dialgebra table, read-only,
-    held as A_D's normal forms and M's rows only.
+class TripleRows:
+    """The kernel rows {pivot: (d, tail)} of a dialgebra table, held as
+    A_D's normal forms and M's rows only.  It answers get, in, basis_keys
+    and pivot_counts.
 
     The key [u c v]@(|u|+1) is the triple (u, c, v); it is normal when u
     and v are normal words of A = A_D, whose rules (a completion.RuleRows)
     one degree below the codec's cap this holds.  M, the sub-bimodule of
     A (x) kX (x) A that the relators and scheme instances generate, has its
-    rows on normal triples; _bimodule_rows fills them in.  Every other key m = (u, c, v)
-    up to degree top is a pivot too, with the row m - nf(u) c nf(v)
+    rows on normal triples; _bimodule_rows fills them in.  Every other key
+    m = (u, c, v) up to the cap is a pivot too, with the row m - nf(u) c nf(v)
     reduced against M.  Its pivot is m, since nf(u) and nf(v) hold smaller
     words of the same length, so these rows and M's are the reduced
     echelon form of the span.  That row is computed whenever it is read
@@ -50,15 +49,13 @@ class TripleRows(Mapping):
     A's rules.
     """
 
-    __slots__ = ("_keys", "_arows", "_aoff", "_p", "_m", "_top", "_end", "_pow", "_normal",
-                 "_free", "_flat")
+    __slots__ = ("_keys", "_arows", "_aoff", "_p", "_m", "_end", "_pow", "_normal", "_free",
+                 "_flat")
 
     def __init__(self, keys: KeyCodec, akeys: KeyCodec, arows: completion.RuleRows, p: int):
         self._keys, self._arows, self._p = keys, arows, p
         self._m: dict = {}
-        self._top, self._end = keys.cap, keys.offset(keys.cap + 1)
-        k = keys.alphabet.size
-        self._pow = [k**t for t in range(keys.cap + 2)]
+        self._end, self._pow = keys.offset(keys.cap + 1), keys._pow
         # _aoff[l] + w is the key in arows of the word value w of length l;
         # the empty word has none, and -1 is in no row
         self._aoff = [-1] + [akeys.offset(t) for t in range(1, keys.cap)]
@@ -67,13 +64,6 @@ class TripleRows(Mapping):
         # with no rule, every word A holds, up to length cap - 1, is normal
         self._free = min(map(akeys.length, arows._rules), default=keys.cap)
         self._flat = keys.offset(self._free + 1)
-
-    def below(self, top: int) -> TripleRows:
-        """These rows without those of degree above top."""
-        out = copy(self)
-        out._top, out._end = top, self._keys.offset(top + 1)
-        out._m = {x: row for x, row in self._m.items() if x < out._end}
-        return out
 
     def _side(self, length: int, w: int):
         """A's normal form of the word value w of the given length, as
@@ -138,10 +128,10 @@ class TripleRows(Mapping):
 
     def basis_keys(self, start: int, stop: int) -> list[int]:
         """The keys in range(start, stop) that these rows leave in the
-        basis, stop at most offset(top + 1): the normal triples less M's
+        basis, stop at most offset(cap + 1): the normal triples less M's
         pivots."""
         offset, m, out = self._keys.offset, self._m, []
-        for t in range(1, self._top + 1):
+        for t in range(1, self._keys.cap + 1):
             if offset(t) >= stop:
                 break
             if offset(t + 1) > start:
@@ -167,24 +157,12 @@ class TripleRows(Mapping):
         g = gcd(d, *tail.values())
         return d // g, {y: -c // g for y, c in tail.items()}
 
-    def __getitem__(self, x: int):
-        row = self.get(x)
-        if row is None:
-            raise KeyError(x)
-        return row
-
     def __contains__(self, x) -> bool:
         # a pivot is a triple of M's or a key that is no normal triple
         return x < self._end and (x in self._m or self._tensor(x) is not None)
 
-    def __iter__(self):
-        return (x for x in range(self._end) if x in self)
-
-    def __len__(self) -> int:
-        return sum(self.pivot_counts(self._top))
-
     def pivot_counts(self, n: int) -> list[int]:
-        """How many pivots these rows hold at each degree 1..n, n <= top:
+        """How many pivots these rows hold at each degree 1..n, n <= cap:
         the t*k**t monomials of degree t less the k * sum a_i a_j normal
         triples (a_i normal words of length i, i + j = t - 1), plus M's
         pivots of degree t."""

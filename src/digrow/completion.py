@@ -13,8 +13,6 @@ digrow.presentation._saturation_rows imports this module on first use.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from copy import copy
 from math import gcd
 
 from .monomial import KeyCodec
@@ -24,12 +22,13 @@ from .presentation import _KILLED, Presentation, _insert_row, _integer_terms, _r
 _NORMAL = object()
 
 
-class RuleRows(Mapping):
+class RuleRows:
     """The kernel rows {pivot: (d, tail)} of a homogeneous associative
-    table, read-only, held as rewriting rules.
+    table, held as rewriting rules.  It answers get, in, basis_keys and
+    pivot_counts.
 
     A rule is the row lw + tail/d of a leading word lw; its tail holds
-    normal words only.  Every word up to degree top that contains a
+    normal words only.  Every word up to the codec's cap that contains a
     leading word is a pivot, with the row w - nf(w): w = u lw v is
     rewritten to -(1/d) u tail v, and so on down, since every rewrite
     lowers the word.  Such a row is computed when it is first read and
@@ -38,17 +37,14 @@ class RuleRows(Mapping):
     elimination stores.
     """
 
-    __slots__ = ("_keys", "_p", "_rules", "_memo", "_top", "_end", "_pow", "_goto", "_hit",
-                 "_walk")
+    __slots__ = ("_keys", "_p", "_rules", "_memo", "_end", "_pow", "_goto", "_hit", "_walk")
 
     def __init__(self, keys: KeyCodec, p: int):
         self._keys, self._p = keys, p
         self._rules: dict = {}
         # the rules, and every word read since the last rules came
         self._memo: dict = {}
-        self._top, self._end = keys.cap, keys.offset(keys.cap + 1)
-        k = keys.alphabet.size
-        self._pow = [k**t for t in range(keys.cap + 2)]
+        self._end, self._pow = keys.offset(keys.cap + 1), keys._pow
         self._build()
 
     def _build(self) -> None:
@@ -91,12 +87,6 @@ class RuleRows(Mapping):
         # rows read so far were rewritten without the new rules
         self._memo = dict(self._rules)
         self._build()
-
-    def below(self, top: int) -> RuleRows:
-        """These rows without those of degree above top."""
-        out = copy(self)
-        out._top, out._end = top, self._keys.offset(top + 1)
-        return out
 
     def _find(self, t: int, w: int):
         """(i, l) for the first leading word in the word value w of length
@@ -174,12 +164,6 @@ class RuleRows(Mapping):
                 memo[y] = self._row(d, terms)
         return memo[x]
 
-    def __getitem__(self, x: int):
-        row = self.get(x)
-        if row is None:
-            raise KeyError(x)
-        return row
-
     def __contains__(self, x) -> bool:
         if not 0 <= x < self._end:
             return False
@@ -203,9 +187,9 @@ class RuleRows(Mapping):
 
     def basis_keys(self, start: int, stop: int) -> list[int]:
         """The keys in range(start, stop) that these rows leave in the
-        basis, stop at most offset(top + 1): the normal words."""
+        basis, stop at most offset(cap + 1): the normal words."""
         offset, out = self._keys.offset, []
-        for t in range(1, self._top + 1):
+        for t in range(1, self._keys.cap + 1):
             off = offset(t)
             if off >= stop:
                 break
@@ -213,17 +197,8 @@ class RuleRows(Mapping):
                 out += [off + w for w in self.normal_words(t) if start <= off + w < stop]
         return out
 
-    def __iter__(self):
-        offset = self._keys.offset
-        for t in range(1, self._top + 1):
-            off, normal = offset(t), set(self.normal_words(t))
-            yield from (off + w for w in range(self._pow[t]) if w not in normal)
-
-    def __len__(self) -> int:
-        return sum(self.pivot_counts(self._top))
-
     def pivot_counts(self, n: int) -> list[int]:
-        """How many pivots these rows hold at each degree 1..n, n <= top:
+        """How many pivots these rows hold at each degree 1..n, n <= cap:
         k**t less the normal words of length t, counted per automaton state
         without listing them."""
         goto, hit, pw = self._goto, self._hit, self._pow

@@ -35,12 +35,18 @@ picks one (_saturation_rows):
   as one byte in the key layout.  On input such as inhomog_ab, whose
   relator puts b in the ideal, nearly every monomial is killed.
 
-Truncation semantics matter.  Saturation runs to degree n + slack and the
-table reports degrees up to n.  A kept row never has a term beyond the cap
-(candidates that would are dropped whole), so every stored row really is an
-ideal element.  For inhomogeneous relators the computed span is therefore a
-lower bound on the ideal and the reported basis an upper bound; tables built
-from homogeneous input are exact and say so.
+Truncation semantics matter.  A table reports degrees up to n.  The rows
+of homogeneous input up to degree n do not depend on later degrees, so its
+saturation stops at n whatever the slack; inhomogeneous input saturates to
+n + slack, and its rows past n are dropped.  A kept row never has a term
+beyond the cap (candidates that would are dropped whole), so every stored
+row really is an ideal element.  For inhomogeneous relators the computed
+span is therefore a lower bound on the ideal and the reported basis an
+upper bound; tables built from homogeneous input are exact and say so.
+
+Each engine returns a rows store that answers get, in, basis_keys and
+pivot_counts; a table reads nothing else.  Its pivots are every key up to
+the bound that basis_keys leaves out.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ import gc
 import hashlib
 import json
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import compress
@@ -270,9 +275,10 @@ _KILLED = (1, MappingProxyType({}))
 _ALIVE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-class KernelRows(Mapping):
-    """The kernel rows {pivot: (d, tail)} that _elimination_rows stores,
-    read-only.
+class KernelRows:
+    """The kernel rows {pivot: (d, tail)} that _elimination_rows stores.
+    It answers get, in, basis_keys and pivot_counts, and below trims the
+    slack degrees.
 
     The live rows are a dict; a killed key, whose row is _KILLED, is a 1 in
     the bytearray _dead, in the KeyCodec layout: one byte, not a dict slot
@@ -299,21 +305,8 @@ class KernelRows(Mapping):
             return row
         return _KILLED if 0 <= x < len(self._dead) and self._dead[x] else default
 
-    def __getitem__(self, x: int):
-        row = self.get(x)
-        if row is None:
-            raise KeyError(x)
-        return row
-
     def __contains__(self, x) -> bool:
         return x in self._live or 0 <= x < len(self._dead) and self._dead[x] == 1
-
-    def __iter__(self):
-        dead = self._dead
-        return iter(sorted([*self._live, *compress(range(len(dead)), dead)]))
-
-    def __len__(self) -> int:
-        return len(self._live) + self._dead.count(1)
 
     def basis_keys(self, start: int, stop: int) -> list[int] | range:
         """The keys in range(start, stop) that these rows leave in the
@@ -576,8 +569,8 @@ def _binomial(q: Presentation) -> bool:
 
 
 def _saturation_rows(q: Presentation, keys: KeyCodec):
-    """The kernel rows of q up to keys.cap, a read-only mapping from the
-    engine q's shape routes to.  Inhomogeneous input goes to
+    """The kernel rows of q up to keys.cap, a rows store from the engine
+    q's shape routes to.  Inhomogeneous input goes to
     _elimination_rows (which returns a KernelRows).  Homogeneous input in
     associative mode goes to completion._rule_rows (a completion.RuleRows),
     and in dialgebra mode to bimodule._bimodule_rows (a
@@ -613,24 +606,14 @@ class BasisTable:
     rows maps each pivot monomial to its monic reduced row; basis is every
     other monomial of length <= degree_bound.  exact is False when
     inhomogeneous relators force truncation, in which case the stored span
-    is a lower bound on the ideal and the basis an upper bound.  The rows
-    are held as kernel rows {key: (d, tail)} (see KeyCodec and
-    _reduce_terms) and decoded to Disequence and field values only when
-    read.  _rows is a read-only mapping from an engine: a KernelRows,
-    which stores live rows in a dict and each killed key as one byte, a
-    completion.RuleRows, which stores the rewriting rules of an
-    associative table of homogeneous input, or a bimodule.TripleRows,
-    which stores A_D's rules and M's rows and computes every other row
-    when it is read.  All answer get, in and iteration alike, and
-    pivot_counts and basis_keys without visiting every pivot;
-    counts_by_degree and _basis_keys read those.  Only this module and
-    the engine modules read the kernel rows; the verify checks work on
-    keys through _basis_keys and _reduce and decode only what they print.
-    basis decodes _basis_keys, and the basis and pivot literals of
-    to_json_dict and the basis verb are formatted from keys by _literals,
-    so the Disequence lists basis and pivots are built only for API callers.
-    The KeyCodec is built on first use: the counts and the basis keys of a
-    relator-free table, whose rows are an empty KernelRows, need none.  Tables compare by identity and print no
+    is a lower bound on the ideal and the basis an upper bound.  _rows is
+    the rows store of the engine that the module docstring names for the
+    input; basis, pivots and rows list its keys through _basis_keys and
+    _pivot_keys, and decode only what they return.  Only this module and
+    the engine modules read _rows; the verify checks go through
+    _basis_keys and _reduce.  The KeyCodec is built on first use: the
+    counts and the basis keys of a relator-free table, whose rows are an
+    empty KernelRows, need none.  Tables compare by identity and print no
     rows.
     """
 
@@ -642,13 +625,12 @@ class BasisTable:
     homogeneous: bool
     fingerprint: str
     _codec: KeyCodec | None
-    _rows: Mapping
+    _rows: KernelRows | completion.RuleRows | bimodule.TripleRows
 
     @property
     def _keys(self) -> KeyCodec:
         if self._codec is None:
-            self._codec = KeyCodec(self.alphabet, self.degree_bound + self.slack,
-                                   self.mode == ASSOCIATIVE)
+            self._codec = KeyCodec(self.alphabet, self.degree_bound, self.mode == ASSOCIATIVE)
         return self._codec
 
     @property
@@ -657,15 +639,16 @@ class BasisTable:
 
     @property
     def pivots(self) -> list[Disequence]:
-        return [self._keys.decode(p) for p in sorted(self._rows)]
+        return [self._keys.decode(p) for p in self._pivot_keys(self._basis_keys())]
 
     @property
     def rows(self) -> dict:
-        keys, field = self._keys, self.field
-        return {
-            keys.decode(piv): _element(keys, field, {**tail, piv: d}, d)
-            for piv, (d, tail) in sorted(self._rows.items())
-        }
+        keys, field, get = self._keys, self.field, self._rows.get
+        out = {}
+        for piv in self._pivot_keys(self._basis_keys()):
+            d, tail = get(piv)
+            out[keys.decode(piv)] = _element(keys, field, {**tail, piv: d}, d)
+        return out
 
     @property
     def basis(self) -> list[Disequence]:
@@ -681,6 +664,19 @@ class BasisTable:
                 f"would enumerate {_count_text(total)} monomials"
             )
         return self._rows.basis_keys(0, total)
+
+    def _pivot_keys(self, basis: list[int] | range) -> list[int]:
+        """The keys of pivots, ascending: the keys up to the bound that
+        basis, as _basis_keys lists it, leaves out."""
+        total = universe_total(self.alphabet.size, self.degree_bound, self.mode == ASSOCIATIVE)
+        if isinstance(basis, range):
+            return [*range(basis.start), *range(basis.stop, total)]
+        out, start = [], 0
+        for x in basis:
+            out += range(start, x)
+            start = x + 1
+        out += range(start, total)
+        return out
 
     def _reduce(self, terms) -> tuple[int, dict]:
         """_reduce_terms of (key, int coefficient) pairs against the rows."""
@@ -728,13 +724,14 @@ class BasisTable:
         return out
 
     def to_json_dict(self) -> dict:
+        basis = self._basis_keys()
         return {
             "mode": self.mode,
             "degree_bound": self.degree_bound,
             "homogeneous": self.homogeneous,
             "slack": self.slack,
-            "basis": self._literals(self._basis_keys()),
-            "pivots": self._literals(sorted(self._rows)),
+            "basis": self._literals(basis),
+            "pivots": self._literals(self._pivot_keys(basis)),
         }
 
     def to_json(self) -> str:
@@ -751,27 +748,19 @@ def basis_upto(
     """Saturate, echelonize, and report pivots and basis up to degree n.
 
     Works on pres itself in dialgebra mode and on its associative image in
-    associative mode, through degree n + slack, and trims the rows past
-    degree n.  Homogeneous input in associative mode takes the rules
-    engine: a Gröbner-Shirshov basis completed degree by degree to
-    n + slack, whose rules rewrite every other word to its normal form
-    when its row is read.  Homogeneous input in dialgebra mode takes the
-    bimodule engine: by the axioms (x -| y) |- z = (x |- y) |- z and
-    x -| (y -| z) = x -| (y |- z), u and v act on [u c v]@(|u|+1) only
-    through their image in A_D, whose rules the engine completes, so it
-    saturates M on triples (u, c, v) with u and v A_D-normal, by a
-    union-find on binomial input and by elimination otherwise.  Every
-    other monomial has the row [u c v] - nf(u) c nf(v), reduced against M,
-    and the table computes that row whenever it is read.  Only
-    inhomogeneous input takes elimination, which stores each killed key
-    as one byte of a KernelRows.  All three give the same rows.
+    associative mode; the module docstring says which engine the input's
+    shape takes.  The table reports the effective slack, but only
+    inhomogeneous input saturates past n, to n + slack.  max_universe
+    (default DEFAULT_UNIVERSE_CAP) bounds the monomials up to the degree
+    saturated.
     """
     mode = _norm_mode(mode)
     check_degree_bound(n)
     associative = mode == ASSOCIATIVE
     q = associated_associative(pres) if associative else pres
     eff = _effective_slack(q, slack)
-    cap = n + eff
+    # homogeneous rows up to degree n do not depend on later degrees
+    cap = n if q.homogeneous else n + eff
     saturate = bool(q.relators or q.schemes)
     # checked before any KeyCodec is built: it holds O(cap**2) bits
     total = universe_total(q.alphabet.size, cap, associative)
@@ -803,8 +792,7 @@ def basis_upto(
         finally:
             if enabled:
                 gc.enable()
-        if eff:
-            # rows reach degree n + eff; only slack puts them beyond n
+        if cap > n:
             rows = rows.below(n)
     return BasisTable(pres.alphabet, pres.field, mode, n, eff, q.homogeneous,
                       pres.fingerprint, keys, rows)

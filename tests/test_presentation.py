@@ -21,7 +21,7 @@ from digrow.errors import (
     FieldMismatch,
     ResourceCapExceeded,
 )
-from digrow.monomial import Alphabet, Disequence, KeyCodec, monomials
+from digrow.monomial import Alphabet, Disequence, KeyCodec, monomials, universe_total
 from digrow.presentation import (
     ASSOCIATIVE,
     DIALGEBRA,
@@ -37,7 +37,6 @@ from digrow.presentation import (
     _KILLED,
     _integer_terms,
     _key_scheme_pair,
-    _pivot_counts,
     _reduce_terms,
     _element,
     associated_associative,
@@ -75,6 +74,19 @@ def to_oracle(elem):
     return {
         (tuple(names[b] for b in m.word), m.middle): c for m, c in elem.terms.items()
     }
+
+
+def stored(rows, keys) -> dict:
+    """The rows a store holds, {key: row}, read through get and in alone
+    at every key up to keys' cap and a few past it; in must agree with
+    get on each."""
+    out = {}
+    for x in range(keys.offset(keys.cap + 1) + 3):
+        row = rows.get(x)
+        assert (x in rows) == (row is not None), x
+        if row is not None:
+            out[x] = row
+    return out
 
 
 def table_as_oracle(table):
@@ -339,7 +351,8 @@ def test_binomial_rows_match_elimination_and_oracle(pres, assoc):
     # caps below a relator's length too
     for cap in (1, 2, {1: 12, 2: 6, 3: 4}[k]):
         keys = KeyCodec(q.alphabet, cap, assoc)
-        assert (_rule_rows if assoc else _bimodule_rows)(q, keys) == _elimination_rows(q, keys)
+        rows = (_rule_rows if assoc else _bimodule_rows)(q, keys)
+        assert stored(rows, keys) == stored(_elimination_rows(q, keys), keys)
 
     # the span of c*(m1 - m2) is the span of m1 - m2 over every field
     rels = [
@@ -443,12 +456,9 @@ def killing_presentations(draw):
 
 def assert_reads_as(rows, ref: dict, keys, top: int):
     """rows answers every read of the byte store as the dict ref does, up
-    to degree top and a little past it."""
+    to degree top and past it."""
     end = keys.offset(top + 1)
-    assert rows == ref and len(rows) == len(ref)
-    assert list(rows) == sorted(ref)
-    for x in range(end + 3):
-        assert (x in rows) == (x in ref) and rows.get(x) == ref.get(x), x
+    assert stored(rows, keys) == ref
     assert rows.pivot_counts(top) == [sum(keys.length(x) == t for x in ref)
                                       for t in range(1, top + 1)]
     # keys past the last degree are in no row
@@ -596,7 +606,8 @@ def test_bimodule_rows_match_elimination(pres):
     k = pres.alphabet.size
     for cap in (1, 2, {1: 8, 2: 5, 3: 4}[k]):
         keys = KeyCodec(pres.alphabet, cap)
-        assert _bimodule_rows(pres, keys) == _elimination_rows(pres, keys)
+        assert stored(_bimodule_rows(pres, keys), keys) == stored(_elimination_rows(pres, keys),
+                                                                  keys)
 
 
 # the three seed-1 relators of the dense benchmark workload
@@ -613,11 +624,12 @@ def test_bimodule_rows_match_elimination_on_dense_relators(relator, field):
     pres = Presentation(AB, field, (parse_element(relator, AB, field),))
     for cap in (1, 2, 7):
         keys = KeyCodec(AB, cap)
-        assert _bimodule_rows(pres, keys) == _elimination_rows(pres, keys)
+        assert stored(_bimodule_rows(pres, keys), keys) == stored(_elimination_rows(pres, keys),
+                                                                  keys)
     # with schemes, whose instances are taken on normal triples
     pres = Presentation(AB, field, pres.relators, ("lcomm", "cross"))
     keys = KeyCodec(AB, 6)
-    assert _bimodule_rows(pres, keys) == _elimination_rows(pres, keys)
+    assert stored(_bimodule_rows(pres, keys), keys) == stored(_elimination_rows(pres, keys), keys)
 
 
 @st.composite
@@ -791,20 +803,21 @@ def test_truncated_completion_adds_a_rule_at_every_degree():
     rows = _rule_rows(q, keys)
     assert sorted(map(keys.length, rows._rules)) == list(range(3, n + 1))
     ref = _elimination_rows(q, keys)
-    assert rows == ref
-    assert rows.pivot_counts(n) == _pivot_counts(ref, keys, n)
+    assert stored(rows, keys) == stored(ref, keys)
+    assert rows.pivot_counts(n) == ref.pivot_counts(n)
     table = basis_upto(q, n, ASSOCIATIVE)
     assert table.counts_by_degree() == [2, 4, 7, 12, 20, 33, 54, 88, 143, 232, 376, 609]
 
 
 def test_degenerate_completions():
     # a monomial relator is a rule with an empty tail
-    rows = _rule_rows(associated_associative(fixture("zero_a")), KeyCodec(A, 6, True))
+    keys = KeyCodec(A, 6, True)
+    rows = _rule_rows(associated_associative(fixture("zero_a")), keys)
     assert rows._rules == {0: _KILLED}
-    assert list(rows) == list(range(6)) and rows.basis_keys(0, 6) == []
+    assert list(stored(rows, keys)) == list(range(6)) and rows.basis_keys(0, 6) == []
     # one letter commutes with itself: no rule, every word normal
-    rows = _rule_rows(associated_associative(fixture("comm_a")), KeyCodec(A, 6, True))
-    assert rows._rules == {} and len(rows) == 0
+    rows = _rule_rows(associated_associative(fixture("comm_a")), keys)
+    assert rows._rules == {} and stored(rows, keys) == {}
     assert rows.basis_keys(0, 6) == list(range(6)) and rows.pivot_counts(6) == [0] * 6
     # two letters: the commutator ba -> ab, and no composition of it
     keys = KeyCodec(AB, 6, True)
@@ -841,6 +854,25 @@ def engine_calls(monkeypatch, pres, n, mode):
     basis_upto(pres, n, mode)
     monkeypatch.undo()
     return calls
+
+
+def engine_caps(monkeypatch, pres, n, mode, **kwargs):
+    """The table basis_upto(pres, n, mode, **kwargs) returns, and the
+    engines it called, in order, as (name, cap) pairs: the bimodule engine
+    calls the rules engine for A_D one degree below its own cap."""
+    from digrow import bimodule, completion, presentation
+
+    calls = []
+    for module, name in ((presentation, "_elimination_rows"), (completion, "_rule_rows"),
+                         (bimodule, "_bimodule_rows")):
+        def wrapped(q, keys, _name=name, _engine=getattr(module, name)):
+            calls.append((_name[1:].removesuffix("_rows"), keys.cap))
+            return _engine(q, keys)
+
+        monkeypatch.setattr(module, name, wrapped)
+    table = basis_upto(pres, n, mode, **kwargs)
+    monkeypatch.undo()
+    return table, calls
 
 
 def test_routing_picks_the_engine_by_input_shape(monkeypatch):
@@ -934,13 +966,36 @@ def test_free_basis_example():
     assert len(basis_upto(Presentation(AB, QQ), 2).basis) == 10
 
 
-def test_slack_independence_for_homogeneous_fixtures():
-    pres = fixture("comm_ab")
-    t0 = basis_upto(pres, 4, slack=0)
-    t3 = basis_upto(pres, 4, slack=3)
-    assert t0.counts_by_degree() == t3.counts_by_degree()
-    assert t0.pivots == t3.pivots
-    assert t0.exact and t3.exact
+def test_slack_independence_for_homogeneous_fixtures(monkeypatch):
+    # rows up to degree n of homogeneous input do not depend on later
+    # degrees: an explicit slack is reported, and nothing past n is built
+    n = 5
+    dense_cross = Presentation(AB, GF7, dense(GF7).relators, ("cross",))
+    homogeneous = [fixture(name) for name in ("comm_ab", "comm_a", "middle_cap_a", "zero_a")]
+    for mode in (DIALGEBRA, ASSOCIATIVE):
+        for pres in homogeneous + [dense(QQ), dense_cross]:
+            ref, calls = engine_caps(monkeypatch, pres, n, mode, slack=0)
+            # the table's engine, if the input needs one, stops at n
+            assert calls[:1] in ([], [("rule" if mode == ASSOCIATIVE else "bimodule", n)])
+            for slack in (1, 3):
+                table, got = engine_caps(monkeypatch, pres, n, mode, slack=slack)
+                assert got == calls and table.slack == slack and table.exact
+                assert table.counts_by_degree() == ref.counts_by_degree()
+                assert table.basis == ref.basis and table.pivots == ref.pivots
+                assert table.rows == ref.rows
+                assert {**table.to_json_dict(), "slack": 0} == ref.to_json_dict()
+        # inhomogeneous input still saturates to n + slack
+        inhomog = fixture("inhomog_ab") if mode == DIALGEBRA else Presentation(
+            AB, QQ, (E("[a b]@1 - [a]@1"),))
+        for slack in (0, 1, 3):
+            table, calls = engine_caps(monkeypatch, inhomog, 3, mode, slack=slack)
+            assert calls == [("elimination", 3 + slack)] and table.slack == slack
+        # so the universe cap counts the monomials up to the bound only
+        cap = universe_total(1, 30, mode == ASSOCIATIVE)
+        table = basis_upto(fixture("comm_a"), 30, mode, slack=2, max_universe=cap)
+        assert table.to_json() == basis_upto(fixture("comm_a"), 30, mode, slack=2).to_json()
+        with pytest.raises(ResourceCapExceeded):
+            basis_upto(fixture("comm_a"), 30, mode, slack=2, max_universe=cap - 1)
 
 
 def test_inhomogeneous_tables_are_flagged():
@@ -1128,7 +1183,8 @@ def renamed(pres, names):
 def test_literals_match_monomial_format(pres, names, mode, slack, n):
     table = basis_upto(renamed(pres, names), n, mode, slack=slack)
     assert table._literals(table._basis_keys()) == [m.format() for m in table.basis]
-    assert table._literals(sorted(table._rows)) == [m.format() for m in table.pivots]
+    pivots = table._pivot_keys(table._basis_keys())
+    assert table._literals(pivots) == [m.format() for m in table.pivots]
 
 
 def test_literals_skip_lengths_without_keys():
@@ -1179,19 +1235,20 @@ def test_free_tables_skip_the_cap_but_not_materialization():
     assert table._codec is None
     assert D("[a b]@2") in table
     assert table._codec.cap == 20 and not table._codec.associative
-    # the key table of a relator-free table is the one saturation would build
+    # the key table of a relator-free table is the one saturation of
+    # homogeneous input would build: to the bound, whatever the slack
     for mode, slack in ((DIALGEBRA, None), (ASSOCIATIVE, 2)):
         table = basis_upto(fixture("free_ab"), 3, mode, slack=slack)
         assert table.basis == [m for t in range(1, 4)
                                for m in monomials(AB, t, mode == ASSOCIATIVE)]
-        assert table._codec.cap == 3 + table.slack
+        assert table._codec.cap == 3
         assert table.counts_by_degree() == [len(list(monomials(AB, t, mode == ASSOCIATIVE)))
                                             for t in range(1, 4)]
 
 
 def test_counts_read_pivot_counts_once_and_no_length(monkeypatch):
     # from degree 60 a triple table holds more pivots than sys.maxsize, so
-    # len() of its rows would overflow; the counts read pivot_counts once
+    # no count of them fits a length; the counts read pivot_counts once
     import sys
 
     seen = []
@@ -1215,6 +1272,17 @@ def test_counts_read_pivot_counts_once_and_no_length(monkeypatch):
     assert seen == ["KernelRows"] and table._codec is None
 
 
+def test_large_tables_refuse_pivots_and_rows_as_basis():
+    # from degree 60 a triple table holds more pivots than sys.maxsize;
+    # pivots and rows list the keys the basis leaves out, so they meet the
+    # materialize cap just as basis does
+    table = basis_upto(Presentation(AB, QQ, (E("[b]@1"),)), 60, max_universe=10**40)
+    for read in (lambda: table.basis, lambda: table.pivots, lambda: table.rows,
+                 table.to_json_dict):
+        with pytest.raises(ResourceCapExceeded, match="materializing the basis up to degree 60"):
+            read()
+
+
 def test_tables_are_deterministic():
     a = basis_upto(fixture("comm_ab"), 4)
     b = basis_upto(fixture("comm_ab"), 4)
@@ -1234,7 +1302,7 @@ def dense(field):
     return Presentation(AB, field, (parse_element(DENSE_RELATOR, AB, field),))
 
 
-def assert_kernel_rows(rows, field):
+def assert_kernel_rows(rows: dict, field):
     """Every tail term is below its pivot and is no pivot itself; rows are
     primitive with d > 0 over Q, and d == 1 with entries in [0, p) over
     GF(p)."""
@@ -1286,21 +1354,25 @@ def test_basistable_invariants():
     for mode, assoc in ((DIALGEBRA, False), (ASSOCIATIVE, True)):
         pres = fixture("inhomog_ab")
         q = associated_associative(pres) if assoc else pres
-        assert_kernel_rows(_elimination_rows(q, KeyCodec(AB, 5, assoc)), QQ)
+        keys = KeyCodec(AB, 5, assoc)
+        assert_kernel_rows(stored(_elimination_rows(q, keys), keys), QQ)
     for field in (QQ, GF32003):
+        keys = KeyCodec(AB, 5)
         for engine in (_elimination_rows, _bimodule_rows):
-            rows = engine(dense(field), KeyCodec(AB, 5))
+            rows = stored(engine(dense(field), keys), keys)
             assert any(d > 1 for d, _ in rows.values()) == (field == QQ)
             assert_kernel_rows(rows, field)
-        rows = _rule_rows(associated_associative(dense(field)), KeyCodec(AB, 6, True))
+        keys = KeyCodec(AB, 6, True)
+        rows = stored(_rule_rows(associated_associative(dense(field)), keys), keys)
         assert any(d > 1 for d, _ in rows.values()) == (field == QQ)
         assert_kernel_rows(rows, field)
         comm = Presentation(AB, field, (parse_element("[b b]@1", AB, field),),
                             ("lcomm", "rcomm"))
-        assert_kernel_rows(_bimodule_rows(comm, KeyCodec(AB, 4)), field)
+        keys = KeyCodec(AB, 4)
+        assert_kernel_rows(stored(_bimodule_rows(comm, keys), keys), field)
         for table in tables:
             if table.field == field:
-                assert_kernel_rows(table._rows, field)
+                assert_kernel_rows(stored(table._rows, table._keys), field)
     # and on the kernel rows of inputs that are no ideal's rows
     rows, _ = echelon([E(DENSE_RELATOR), E("[a a b]@3 - [b]@1"), E("[b]@1 + [a]@1")])
     assert len(rows) == 3 and any(d > 1 for d, _ in rows.values())
@@ -1335,7 +1407,7 @@ def test_reduce_terms_ignores_pair_order_and_repeats(table, pairs, data):
     given_pairs = list(pairs)
     want = reduced_value(_reduce_terms(pairs, rows, p), p)
     assert pairs == given_pairs  # the input is not consumed
-    assert all(want.values()) and not set(want) & set(rows)
+    assert all(want.values()) and not any(x in rows for x in want)
     # the normal form of the summed element
     x = DiElement(AB, field)
     for m, c in pairs:
