@@ -9,8 +9,10 @@ battery).  Exit codes: 0 success, 1 invalid input, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
+from itertools import chain
 
 from . import growth
 from .element import DiElement, QQ, _sum_terms, axiom_residuals, parse_element, parse_field
@@ -203,12 +205,27 @@ def _enforce_degree_cap(args, pres):
         )
 
 
-def _emit(args, text: str):
+def _emit(args, chunks):
+    """Write chunks, one str or an iterable of them, to --out or stdout.
+
+    The first chunk is drawn before --out is opened, so a refusal raised
+    before it leaves no file.  A reader that closes stdout early ends the
+    output, not the run: the exit code and stderr stay those of a full
+    write."""
+    chunks = iter((chunks,) if isinstance(chunks, str) else chunks)
+    chunks = chain((next(chunks, ""),), chunks)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would raise again: send what is buffered nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 #### verbs
@@ -235,17 +252,18 @@ def cmd_nf(args, pres) -> int:
 def cmd_basis(args, pres) -> int:
     table = basis_upto(pres, args.max_degree, args.mode, args.slack)
     if args.format == "json":
-        _emit(args, table.to_json())
+        _emit(args, table.json_chunks())
     else:
-        lines = [
+        basis = table._basis_keys()  # the materialize cap, before any byte
+        head = "\n".join([
             f"mode: {table.mode}",
             f"degree bound: {table.degree_bound}",
             f"homogeneous: {table.homogeneous}",
             f"slack: {table.slack}",
             "basis:",
-        ]
-        lines += [f"  {lit}" for lit in table._literals(table._basis_keys())]
-        _emit(args, "\n".join(lines) + "\n")
+        ])
+        runs = ("\n  " + "\n  ".join(run) for run in table._literals((basis,)))
+        _emit(args, chain((head,), runs, ("\n",)))
     return EXIT_OK
 
 

@@ -55,9 +55,10 @@ import gc
 import hashlib
 import json
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, product
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -77,7 +78,13 @@ SCHEME_TAGS = ("lcomm", "rcomm", "cross")
 
 # desk-scale guard rails
 DEFAULT_UNIVERSE_CAP = 2_000_000
+# basis, pivots and rows list every monomial up to the bound.  An export
+# holds one run of _RUN literals and the half-word tables of one length
+# (about t * k**(t/2) strings), not the basis, so past this cap it is the
+# export's time that grows, not its memory
 MATERIALIZE_CAP = 5_000_000
+# literals per run of a table export (BasisTable._literals)
+_RUN = 4096
 
 
 def _count_text(n: int) -> str:
@@ -639,13 +646,14 @@ class BasisTable:
 
     @property
     def pivots(self) -> list[Disequence]:
-        return [self._keys.decode(p) for p in self._pivot_keys(self._basis_keys())]
+        decode = self._keys.decode
+        return [decode(p) for p in chain.from_iterable(self._pivot_keys(self._basis_keys()))]
 
     @property
     def rows(self) -> dict:
         keys, field, get = self._keys, self.field, self._rows.get
         out = {}
-        for piv in self._pivot_keys(self._basis_keys()):
+        for piv in chain.from_iterable(self._pivot_keys(self._basis_keys())):
             d, tail = get(piv)
             out[keys.decode(piv)] = _element(keys, field, {**tail, piv: d}, d)
         return out
@@ -665,18 +673,16 @@ class BasisTable:
             )
         return self._rows.basis_keys(0, total)
 
-    def _pivot_keys(self, basis: list[int] | range) -> list[int]:
-        """The keys of pivots, ascending: the keys up to the bound that
-        basis, as _basis_keys lists it, leaves out."""
+    def _pivot_keys(self, basis: list[int] | range) -> Iterator[range]:
+        """The keys of pivots, ascending, as the non-empty gaps that basis,
+        as _basis_keys lists it, leaves in the keys up to the bound; one
+        gap at a time, never the whole list."""
         total = universe_total(self.alphabet.size, self.degree_bound, self.mode == ASSOCIATIVE)
         if isinstance(basis, range):
-            return [*range(basis.start), *range(basis.stop, total)]
-        out, start = [], 0
-        for x in basis:
-            out += range(start, x)
-            start = x + 1
-        out += range(start, total)
-        return out
+            gaps = (range(basis.start), range(basis.stop, total))
+        else:
+            gaps = map(range, chain((0,), (x + 1 for x in basis)), chain(basis, (total,)))
+        return filter(None, gaps)
 
     def _reduce(self, terms) -> tuple[int, dict]:
         """_reduce_terms of (key, int coefficient) pairs against the rows."""
@@ -696,32 +702,43 @@ class BasisTable:
         return [universe_count(k, t, associative) - d
                 for t, d in zip(range(1, n + 1), self._rows.pivot_counts(n))]
 
-    def _literals(self, keys: list[int]) -> list[str]:
-        """The literals Disequence.format() writes for ascending keys,
-        without building a Disequence.
+    def _literals(self, spans, names=None) -> Iterator[list[str]]:
+        """The literals Disequence.format() writes for the keys of spans,
+        ascending lists or ranges each past the one before, in runs of
+        _RUN (the last one shorter), without building a Disequence; names
+        stand in for the generator names when given.
 
-        Walks the keys length by length.  Each length t has one table of
-        "[a_1 ... a_t" heads indexed by word value, grown from the table of
-        length t - 1, so a word's letters are joined once, not once per
-        middle; a key's literal is its word's head plus "]@middle".
+        Walks each span in slices of one length t.  A word of length t is
+        cut after its first t - t//2 letters: heads holds "[a_1 ... a_h"
+        for each first part, and ends " a_h+1 ... a_t]@m" for each last
+        part and middle, so a literal is one join of two strings from
+        tables of about t * k**(t/2) entries, built once per length.
         """
-        codec, names = self._keys, self.alphabet.names
-        out: list[str] = []
-        heads = ["["]
-        i, end = 0, len(keys)
-        t = 0
-        while i < end:
-            t += 1
-            sep = " " if t > 1 else ""
-            heads = [h + sep + a for h in heads for a in names]
-            start, size = codec.offset(t), len(heads)
-            j = bisect_left(keys, codec.offset(t + 1), i)
-            if j > i:
-                tails = [f"]@{m}" for m in range(1, t + 1)]
-                out += [heads[w] + tails[m0]
-                        for m0, w in (divmod(x - start, size) for x in keys[i:j])]
-            i = j
-        return out
+        codec, names = self._keys, names or self.alphabet.names
+        run: list[str] = []
+        t = start = stop = 0
+        for keys in spans:
+            i, end = 0, len(keys)
+            while i < end:
+                while keys[i] >= stop:
+                    t += 1
+                    start, stop = codec.offset(t), codec.offset(t + 1)
+                    s = t // 2
+                    heads = ["[" + " ".join(w) for w in product(names, repeat=t - s)]
+                    ends = [" ".join(("", *w)) + f"]@{m}"
+                            for m in range(1, t + 1) for w in product(names, repeat=s)]
+                    low, high = len(names) ** s, len(heads)
+                    size = low * high
+                j = min(bisect_left(keys, stop, i), i + _RUN - len(run))
+                # key start + m0 * size + w: word w, middle m0 + 1
+                run += [heads[(d := x - start) // low % high] + ends[d // size * low + d % low]
+                        for x in keys[i:j]]
+                i = j
+                if len(run) == _RUN:
+                    yield run
+                    run = []
+        if run:
+            yield run
 
     def to_json_dict(self) -> dict:
         basis = self._basis_keys()
@@ -730,12 +747,35 @@ class BasisTable:
             "degree_bound": self.degree_bound,
             "homogeneous": self.homogeneous,
             "slack": self.slack,
-            "basis": self._literals(basis),
-            "pivots": self._literals(self._pivot_keys(basis)),
+            "basis": [*chain.from_iterable(self._literals((basis,)))],
+            "pivots": [*chain.from_iterable(self._literals(self._pivot_keys(basis)))],
         }
 
+    def json_chunks(self) -> Iterator[str]:
+        """canonical_json(self.to_json_dict()) in chunks, one per run of
+        literals, so neither list is held whole.  The materialize cap is
+        checked before the first chunk."""
+        basis = self._basis_keys()
+        dump = json.dumps
+        # JSON escapes a string character by character, so literals joined
+        # from escaped names need only their quotes
+        names = [dump(a)[1:-1] for a in self.alphabet.names]
+
+        def items(spans):
+            sep = ""
+            for run in self._literals(spans, names):
+                yield sep + '"' + '","'.join(run) + '"'
+                sep = ","
+
+        yield '{"basis":['
+        yield from items((basis,))
+        yield (f'],"degree_bound":{dump(self.degree_bound)},'
+               f'"homogeneous":{dump(self.homogeneous)},"mode":{dump(self.mode)},"pivots":[')
+        yield from items(self._pivot_keys(basis))
+        yield f'],"slack":{dump(self.slack)}}}\n'
+
     def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
+        return "".join(self.json_chunks())
 
 
 def basis_upto(

@@ -1,5 +1,6 @@
 """Front end: file parsing with diagnostics, verbs, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -473,7 +474,7 @@ def test_saturation_universe_cap_exits_3(capsys):
     assert err.startswith("digrow: resource cap: elimination up to degree 20000 ")
 
 
-def test_unprintable_relator_free_table_exits_3(capsys):
+def test_unprintable_relator_free_table_exits_3(capsys, tmp_path):
     # no relator, so no universe cap: the counts would pass str()'s digit limit
     code, out, err = run(capsys, "growth", FREE_AB, "--mode", "assoc", "--max-degree", "20000",
                          "--format", "csv")
@@ -481,6 +482,16 @@ def test_unprintable_relator_free_table_exits_3(capsys):
     assert err == ("digrow: resource cap: a table up to degree 20000 would hold at least "
                    "2**20000 monomials, more digits than Python converts to a string; "
                    "lower the degree\n")
+    # past the materialize cap basis refuses before its first byte, and
+    # with --out it leaves no file behind
+    target = tmp_path / "basis.txt"
+    for fmt in ("text", "json"):
+        for out_args in ((), ("--out", str(target))):
+            code, out, err = run(capsys, "basis", FREE_AB, "--force", "--max-degree", "18",
+                                 "--format", fmt, *out_args)
+            assert code == 3 and out == "" and not target.exists()
+            assert err == ("digrow: resource cap: materializing the basis up to degree 18 "
+                           "would enumerate 8912898 monomials\n")
 
 
 def child_peak(body):
@@ -541,6 +552,41 @@ def test_killed_keys_cost_no_row():
         '"per_degree":[2,3,4,5,6,7,8,9,10,11,12,13],'
         '"warnings":["approximate: lower-bound ideal / upper-bound basis (slack 2)"]}\n')
     assert used - bare < 12 * 1024, (bare, used)
+
+
+def test_basis_exports_hold_one_run_of_literals():
+    # basis and pivots are written a run of literals at a time; listed
+    # whole they took about 14 MiB here, and 70 MiB for comm_ab
+    _, bare = child_peak("import digrow.cli")
+    for argv, digest in (
+        ([FREE_AB, "--max-degree", "12"],
+         "0212bce3ef248e25f35a5dd48bf1802373d32d283b0b815ff1a0c42f4da6c7d7"),
+        ([COMM_AB, "--force", "--max-degree", "14"],
+         "1f6ba762ca5c6351de466928d75fb29765fbe4b5e0b5a58458c2c044b569f70e"),
+    ):
+        out, used = child_peak(f"from digrow.cli import main\n"
+                               f"main(['basis', *{argv!r}, '--format', 'json'])")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert used - bare < 4 * 1024, (argv, bare, used)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_closing_stdout_early_is_no_error(unbuffered):
+    # as `digrow basis ... | head -c 10`: the output ends, the run does not fail
+    src = str(Path(digrow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for n, fmt in (("12", "json"), ("15", "json"), ("15", "text")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "digrow.cli", "basis", FREE_AB, "--force",
+             "--max-degree", n, "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b""), (n, fmt)
+        assert head == (b'{"basis":[' if fmt == "json" else b"mode: dial")
 
 
 def test_csv_rejected_before_any_work(capsys, monkeypatch):

@@ -5,15 +5,21 @@ reference in tests/oracle.py; the slow comparisons that regenerate them
 live in the oracle-marked tests below.
 """
 
+import argparse
+import io
 import random
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from digrow.cli import load_presentation
+from digrow import presentation
+from digrow.cli import cmd_basis, load_presentation
 from digrow.element import QQ, DiElement, PrimeField, parse_element
 from digrow.errors import (
     AlphabetMismatch,
@@ -41,6 +47,7 @@ from digrow.presentation import (
     _element,
     associated_associative,
     basis_upto,
+    canonical_json,
     collapse_middle,
     normal_form,
     prefix_suffix_check,
@@ -1158,7 +1165,7 @@ def test_key_level_checks_match_reference(pres, slack, n):
     assert special_basis_check(td).m == o_middle_bound(table_as_oracle(td), n)
 
 
-NAMES = (("a", "b", "c"), ("x", "y1", "z_2"))
+NAMES = (("a", "b", "c"), ("x", "y1", "z_2"), ("α", "b_2", "\U0001d51e"))
 
 
 def renamed(pres, names):
@@ -1172,27 +1179,63 @@ def renamed(pres, names):
     return Presentation(alphabet, pres.field, relators, pres.schemes, pres.slack)
 
 
-@given(
+TABLE_DRAWS = (
     st.one_of(binomial_presentations(), non_binomial_presentations(),
               truncated_presentations()),
     st.sampled_from(NAMES),
     st.sampled_from([DIALGEBRA, ASSOCIATIVE]),
-    st.sampled_from([0, None]),
+    st.sampled_from([0, 2, None]),
     st.integers(1, 4),
+    st.sampled_from([1, 3, 7, 4096]),
 )
-def test_literals_match_monomial_format(pres, names, mode, slack, n):
+
+
+@given(*TABLE_DRAWS)
+def test_literals_match_monomial_format(pres, names, mode, slack, n, run):
+    # runs hold `run` literals each, the last one fewer, across lengths and gaps
     table = basis_upto(renamed(pres, names), n, mode, slack=slack)
-    assert table._literals(table._basis_keys()) == [m.format() for m in table.basis]
-    pivots = table._pivot_keys(table._basis_keys())
-    assert table._literals(pivots) == [m.format() for m in table.pivots]
+    basis = table._basis_keys()
+    with patch.object(presentation, "_RUN", run):
+        for spans, monos in (([basis], table.basis), (table._pivot_keys(basis), table.pivots)):
+            runs = list(table._literals(spans))
+            assert [*chain.from_iterable(runs)] == [m.format() for m in monos]
+            assert all(len(r) == run for r in runs[:-1]) and all(0 < len(r) <= run for r in runs)
+
+
+@given(*TABLE_DRAWS)
+def test_exports_match_their_formulas(pres, names, mode, slack, n, run):
+    # the streamed exports are byte for byte the one-piece formulas:
+    # canonical_json of to_json_dict, and the text lines of basis joined
+    pres = renamed(pres, names)
+    table = basis_upto(pres, n, mode, slack=slack)
+    texts = []
+    with patch.object(presentation, "_RUN", run):
+        chunks = list(table.json_chunks())
+        for fmt in ("json", "text"):
+            args = argparse.Namespace(max_degree=n, mode=mode, slack=slack, out=None, format=fmt)
+            with redirect_stdout(io.StringIO()) as out:
+                assert cmd_basis(args, pres) == 0
+            texts.append(out.getvalue())
+    assert "".join(chunks) == table.to_json() == canonical_json(table.to_json_dict()) == texts[0]
+    # three fixed pieces, and one chunk per run of each list
+    assert len(chunks) == 3 + -(len(table._basis_keys()) // -run) + -(len(table.pivots) // -run)
+    lines = [
+        f"mode: {table.mode}",
+        f"degree bound: {table.degree_bound}",
+        f"homogeneous: {table.homogeneous}",
+        f"slack: {table.slack}",
+        "basis:",
+    ]
+    lines += [f"  {m.format()}" for m in table.basis]
+    assert texts[1] == "\n".join(lines) + "\n"
 
 
 def test_literals_skip_lengths_without_keys():
     table = basis_upto(Presentation(Alphabet.of("x", "y1", "z_2"), QQ), 3)
     keys = table._keys
     picked = [keys.offset(3), keys.offset(3) + 31, keys.offset(4) - 1]
-    assert table._literals(picked) == ["[x x x]@1", "[x y1 y1]@2", "[z_2 z_2 z_2]@3"]
-    assert table._literals([]) == []
+    assert list(table._literals([picked])) == [["[x x x]@1", "[x y1 y1]@2", "[z_2 z_2 z_2]@3"]]
+    assert list(table._literals([[], range(0)])) == []
 
 
 # ===== caps and determinism ================================================
