@@ -15,7 +15,8 @@ import sys
 from itertools import chain
 
 from . import growth
-from .element import DiElement, QQ, _sum_terms, axiom_residuals, parse_element, parse_field
+from .element import (  # axiom_residuals unused here; perfbench/traced.py wraps it
+    QQ, _sum_terms, axiom_residuals, key_identity_verdicts, parse_element, parse_field)
 from .errors import ParseError, ResourceCapExceeded
 from .growth import (
     GrowthSeries,
@@ -27,7 +28,7 @@ from .growth import (
     special_basis_check,
     theorem_a_check,
 )
-from .monomial import Alphabet, Disequence
+from .monomial import Alphabet, Disequence, KeyCodec
 from .presentation import (
     ASSOCIATIVE,
     DIALGEBRA,
@@ -48,6 +49,7 @@ EXIT_RESOURCE = 3
 
 # protect desk-scale runs: t*k^t explodes for k >= 2
 UNFORCED_DEGREE_CAP = 12
+AXIOM_TRIPLES = 200  # seeded random triples verify checks the identities on
 
 
 #### presentation files
@@ -303,16 +305,6 @@ def cmd_gk(args, pres) -> int:
     return EXIT_OK
 
 
-def _random_element(rng, alphabet, field, max_len=3, terms=3):
-    pairs = []
-    for _ in range(rng.randint(1, terms)):
-        length = rng.randint(1, max_len)
-        word = bytes(rng.randrange(alphabet.size) for _ in range(length))
-        mono = Disequence(alphabet, word, rng.randint(1, length))
-        pairs.append((mono, field.coerce(rng.randint(-5, 5))))
-    return DiElement(alphabet, field, _sum_terms(pairs, field), _clean=True)
-
-
 def cmd_verify(args, pres) -> int:
     n = args.max_degree
     if n >= 3:
@@ -326,17 +318,22 @@ def cmd_verify(args, pres) -> int:
             hard_failures += 1
         lines.append(f"{level} {msg}")
 
-    # product axioms on random triples
-    rng = random.Random(42)
-    bad = 0
-    for _ in range(200):
-        x = _random_element(rng, pres.alphabet, pres.field)
-        y = _random_element(rng, pres.alphabet, pres.field)
-        z = _random_element(rng, pres.alphabet, pres.field)
-        if any(not r.is_zero for r in axiom_residuals(x, y, z)):
-            bad += 1
+    # seeded random elements: 1-3 terms, words of length 1-3, coefficients in [-5, 5]
+    alphabet, rng, codec = pres.alphabet, random.Random(42), KeyCodec(pres.alphabet, 9)
+
+    def element():
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            t = rng.randint(1, 3)
+            word = bytes(rng.randrange(alphabet.size) for _ in range(t))
+            m = Disequence(alphabet, word, rng.randint(1, t))
+            pairs.append((codec.encode(m), rng.randint(-5, 5)))
+        return _sum_terms(pairs, pres.field)
+
+    bad = sum(any(key_identity_verdicts(codec, pres.field, element(), element(), element()))
+              for _ in range(AXIOM_TRIPLES))
     report("FAIL" if bad else "PASS",
-           f"axiom residuals vanish on 200 random triples" if not bad
+           f"axiom residuals vanish on {AXIOM_TRIPLES} random triples" if not bad
            else f"axiom residuals nonzero on {bad} triples")
 
     table_d = basis_upto(pres, n, DIALGEBRA, args.slack)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import AlphabetMismatch, FieldMismatch, ParseError
-from .monomial import Alphabet, Disequence, lprod, rprod
+from .monomial import Alphabet, Disequence, KeyCodec, lprod, rprod
 
 #### scalar fields ##########################################################
 
@@ -300,23 +300,46 @@ class DiElement:
 #### the defining identities ################################################
 
 
-def axiom_residuals(x: DiElement, y: DiElement, z: DiElement) -> tuple:
-    """The five defining identities as residuals; all vanish identically.
+def _identity_sides(x, y, z, lprod, rprod) -> tuple:
+    """The five defining identities as (left, right) pairs of sides under
+    the products lprod (|-) and rprod (-|).
 
     Order: associativity of rprod, associativity of lprod, then the three
     bar identities tying the two products together.  Each product is taken
     once: the four inner ones x-|y, x|-y, y-|z and y|-z, and the outer
-    x-|(y-|z) and (x|-y)|-z that two residuals share, 12 products in all.
+    x-|(y-|z) and (x|-y)|-z that two identities share, 12 products in all.
     """
-    xr, xl, yr, yl = x.rprod(y), x.lprod(y), y.rprod(z), y.lprod(z)
-    x_yr, xl_z = x.rprod(yr), xl.lprod(z)
-    return (
-        xr.rprod(z) - x_yr,
-        xl_z - x.lprod(yl),
-        x.rprod(yl) - x_yr,
-        xr.lprod(z) - xl_z,
-        x.lprod(yr) - xl.rprod(z),
-    )
+    xr, xl, yr, yl = rprod(x, y), lprod(x, y), rprod(y, z), lprod(y, z)
+    x_yr, xl_z = rprod(x, yr), lprod(xl, z)
+    return ((rprod(xr, z), x_yr), (xl_z, lprod(x, yl)), (rprod(x, yl), x_yr),
+            (lprod(xr, z), xl_z), (lprod(x, yr), rprod(xl, z)))
+
+
+def axiom_residuals(x: DiElement, y: DiElement, z: DiElement) -> tuple:
+    """The five identities as residuals left - right; all vanish identically.
+
+    The products are DiElement.lprod and rprod, read at each call: the
+    bilinear extensions of monomial.lprod and rprod on Disequence terms.
+    """
+    return tuple(a - b for a, b in _identity_sides(x, y, z, DiElement.lprod, DiElement.rprod))
+
+
+def key_identity_verdicts(codec: KeyCodec, field, x: dict, y: dict, z: dict) -> tuple:
+    """Per identity, in axiom_residuals' order, whether its sides differ on
+    x, y, z: dicts from codec keys to int coefficients, as _sum_terms leaves
+    them.  The products are codec.lprod and rprod on split keys, the key
+    products the saturation engines run; the cap must reach 3 x the longest word.
+    """
+    split = codec.split
+
+    def bilinear(mprod):
+        def product(u, v):
+            su, sv = ([(split(a), c) for a, c in w.items()] for w in (u, v))
+            return _sum_terms([(mprod(a, b), c * d) for a, c in su for b, d in sv], field)
+        return product
+
+    sides = _identity_sides(x, y, z, bilinear(codec.lprod), bilinear(codec.rprod))
+    return tuple(a != b for a, b in sides)
 
 
 #### literals ###############################################################

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import digrow
-from digrow import cli, fixture_path, growth, presentation
+from digrow import cli, fixture_path, growth, monomial, presentation
 from digrow.cli import main, parse_presentation
-from digrow.element import QQ, PrimeField
+from digrow.element import QQ, DiElement, PrimeField
 from digrow.errors import ParseError
 from digrow.growth import TheoremAReport
 from digrow.monomial import Disequence
@@ -135,6 +136,7 @@ FREE_A = fixture_path("free_a")
 FREE_AB = fixture_path("free_ab")
 COMM_A = fixture_path("comm_a")
 COMM_AB = fixture_path("comm_ab")
+CROSS_A = fixture_path("cross_a")
 INHOMOG = fixture_path("inhomog_ab")
 ZERO = fixture_path("zero_a")
 
@@ -247,6 +249,73 @@ def test_verify_commutative_fixture(capsys):
         "lcomm": True, "rcomm": True, "cross": False,
     }
     assert "slope_ratio" in payload
+
+
+def element_loop_failures(alphabet, field) -> int:
+    """How many of verify's seeded random triples break an identity, by the
+    element loop verify ran before its check moved to codec keys: elements
+    of 1-3 terms, words of length 1-3 and coefficients in [-5, 5] from the
+    same calls to random.Random(42), judged by oracle.o_axiom_residuals.
+    (It lives here, not in tests/oracle.py, which perfbench/check.py loads
+    into the benchmark's own process.)
+    """
+    from oracle import o_axiom_residuals
+
+    rng = random.Random(42)
+
+    def element():
+        x = DiElement.zero(alphabet, field)
+        for _ in range(rng.randint(1, 3)):
+            length = rng.randint(1, 3)
+            word = bytes(rng.randrange(alphabet.size) for _ in range(length))
+            mono = Disequence(alphabet, word, rng.randint(1, length))
+            x = x + DiElement.monomial(mono, rng.randint(-5, 5), field)
+        return x
+
+    return sum(any(not r.is_zero for r in o_axiom_residuals(element(), element(), element()))
+               for _ in range(cli.AXIOM_TRIPLES))
+
+
+def test_verify_checks_the_same_triples(capsys, tmp_path):
+    # under products twisted alike on keys and on elements, verify fails as
+    # many of its seeded triples as the element loop it replaced
+    from test_element import _twisted_products
+
+    gf7 = tmp_path / "gf7.dpres"
+    gf7.write_text("field gf 7\ngenerators a b c\n")
+    for path in (COMM_A, COMM_AB, str(gf7)):
+        pres = cli.load_presentation(path)
+        with _twisted_products():
+            code, out, _ = run(capsys, "verify", path, "--max-degree", "1")
+            bad = element_loop_failures(pres.alphabet, pres.field)
+        assert 0 < bad < cli.AXIOM_TRIPLES
+        assert code == 2 and f"FAIL axiom residuals nonzero on {bad} triples\n" in out
+
+
+def test_verify_does_no_element_arithmetic(capsys, monkeypatch, tmp_path):
+    # once the presentation is loaded, verify runs on keys: the element and
+    # monomial products refuse, and every output keeps its bytes
+    gf7 = tmp_path / "gf7.dpres"
+    gf7.write_text("field gf 7\ngenerators a b c\nrel 3*[a b]@2 - [c]@1\nidrel cross\n")
+    argvs = [(path, "--max-degree", n, "--format", fmt)
+             for path, n in ((COMM_A, "8"), (CROSS_A, "8"), (COMM_AB, "6"),
+                             (INHOMOG, "4"), (str(gf7), "4"))
+             for fmt in ("text", "json")]
+    want = [run(capsys, "verify", *argv) for argv in argvs]
+    load = cli.load_presentation
+
+    def refuse(*args):
+        raise AssertionError("element arithmetic in verify")
+
+    def armed(path):
+        pres = load(path)
+        for owner, name in ((DiElement, "_product"), (monomial, "lprod"), (monomial, "rprod")):
+            monkeypatch.setattr(owner, name, refuse)
+        return pres
+
+    monkeypatch.setattr(cli, "load_presentation", armed)
+    assert [run(capsys, "verify", *argv) for argv in argvs] == want
+    assert DiElement._product is refuse
 
 
 def test_verify_saturates_each_mode_once(capsys, monkeypatch):

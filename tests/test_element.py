@@ -1,5 +1,6 @@
 """Elements: linear algebra over Q and GF(p), bilinear products, axioms."""
 
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -13,11 +14,12 @@ from digrow.element import (
     _is_prime,
     _sum_terms,
     axiom_residuals,
+    key_identity_verdicts,
     parse_element,
     parse_field,
 )
 from digrow.errors import AlphabetMismatch, FieldMismatch, ParseError
-from digrow.monomial import Alphabet, Disequence
+from digrow.monomial import Alphabet, Disequence, KeyCodec
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -163,20 +165,29 @@ def test_axiom_residuals_vanish_on_free_elements(xyz):
     assert all(r.is_zero for r in axiom_residuals(x, y, z))
 
 
+@contextmanager
 def _twisted_products():
-    """Patch DiElement's products with bilinear ones that break every
-    identity: on uv of length t, -| puts the middle at (mid(u) + 2 mid(v))
-    mod t + 1 and |- at (2 mid(u) + mid(v)) mod t + 1.  Residuals are then
+    """Patch the products of DiElement and of KeyCodec with bilinear ones
+    that break every identity: on uv of length t, -| puts the middle at
+    (mid(u) + 2 mid(v)) mod t + 1 and |- at (2 mid(u) + mid(v)) mod t + 1,
+    on Disequence terms and on split keys alike.  Residuals are then
     nonzero, so comparing them checks which products feed which residual."""
     def twist(a, b):
         def mono(u, v):
             word = u.word + v.word
             return Disequence(u.alphabet, word, (a * u.middle + b * v.middle) % len(word) + 1)
 
-        return lambda self, other: self._product(other, mono)
+        def key(codec, u, v):
+            (l1, m1, w1), (l2, m2, w2) = u, v
+            t, k = l1 + l2, codec.alphabet.size
+            return codec.offset(t) + (a * m1 + b * m2) % t * k**t + w1 * k**l2 + w2
 
-    return (patch.object(DiElement, "rprod", twist(1, 2)),
-            patch.object(DiElement, "lprod", twist(2, 1)))
+        return (lambda self, other: self._product(other, mono)), key
+
+    (er, kr), (el, kl) = twist(1, 2), twist(2, 1)
+    with patch.object(DiElement, "rprod", er), patch.object(DiElement, "lprod", el), \
+            patch.object(KeyCodec, "rprod", kr), patch.object(KeyCodec, "lprod", kl):
+        yield
 
 
 @given(st.sampled_from((QQ, PrimeField(7))).flatmap(
@@ -184,17 +195,54 @@ def _twisted_products():
 def test_axiom_residuals_match_twenty_products(xyz):
     from oracle import o_axiom_residuals
 
-    rp, lp = _twisted_products()
-    with rp, lp:
+    with _twisted_products():
         got, want = axiom_residuals(*xyz), o_axiom_residuals(*xyz)
     assert [r.terms for r in got] == [r.terms for r in want]
 
 
 def test_twisted_products_break_every_identity():
     x, y, z = E("[a]@1 + 1/2*[b]@1"), E("[a b]@2"), E("[b a]@1")
-    rp, lp = _twisted_products()
-    with rp, lp:
+    codec = KeyCodec(AB, 9)
+    keyed = [{codec.encode(m): c for m, c in e.terms.items()} for e in (x, y, z)]
+    assert key_identity_verdicts(codec, QQ, *keyed) == (False,) * 5
+    with _twisted_products():
         assert all(not r.is_zero for r in axiom_residuals(x, y, z))
+        assert key_identity_verdicts(codec, QQ, *keyed) == (True,) * 5
+
+
+@st.composite
+def key_triples(draw):
+    """A cap-9 codec over 1-3 letters, a field, and three elements of 0-3
+    terms as verify draws them: codec keys of words of length 1-3, int
+    coefficients in [-5, 5], summed by _sum_terms."""
+    alphabet = draw(st.sampled_from((A, AB, ABC)))
+    field = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(7), PrimeField(32003))))
+    codec = KeyCodec(alphabet, 9)
+
+    def element():
+        pairs = []
+        for _ in range(draw(st.integers(0, 3))):
+            t = draw(st.integers(1, 3))
+            word = bytes(draw(st.integers(0, alphabet.size - 1)) for _ in range(t))
+            m = Disequence(alphabet, word, draw(st.integers(1, t)))
+            pairs.append((codec.encode(m), draw(st.integers(-5, 5))))
+        return _sum_terms(pairs, field)
+
+    return codec, field, [element() for _ in range(3)]
+
+
+@given(key_triples(), st.booleans())
+def test_key_verdicts_match_element_residuals(drawn, twisted):
+    # the key check and axiom_residuals judge each identity alike, also
+    # under the twisted products, where most identities fail
+    codec, field, keyed = drawn
+    decoded = [DiElement(codec.alphabet, field, {codec.decode(a): c for a, c in x.items()})
+               for x in keyed]
+    with _twisted_products() if twisted else nullcontext():
+        got = key_identity_verdicts(codec, field, *keyed)
+        want = tuple(not r.is_zero for r in axiom_residuals(*decoded))
+    assert got == want
+    assert twisted or not any(got)
 
 
 def test_axiom_residuals_monomial_triple():

@@ -19,7 +19,10 @@ Runs `digrow.cli.main` in process on
   default slack and with --slack 0;
 - counts past float range: gk free_ab --mode assoc at n = 1200 and 2100,
   and the exit-3 refusal of growth free_ab --mode assoc at n = 20000
-  (csv), whose counts have more digits than str() converts.
+  (csv), whose counts have more digits than str() converts;
+- verify, text and json, at n = 4 on a seeded two-letter presentation over
+  GF(2) and on the three-letter one above, so that with the fixtures the
+  axiom check draws over 1, 2 and 3 letters with p = 0, 2 and 7.
 
 Every call adds its argv, exit code, stdout and stderr to one sha256, with
 input paths replaced by a placeholder (`verify --format json` echoes the
@@ -52,14 +55,14 @@ PLACEHOLDER = "<FILE>"
 OUT_PLACEHOLDER = "<OUT>"
 
 
-def literal(rng, names, terms: int, top: int, assoc: bool) -> str:
+def literal(rng, names, terms: int, top: int, assoc: bool, coeffs=COEFFS) -> str:
     """A seeded element literal over the given generator names."""
     out = []
     for i in range(terms):
         length = rng.randint(1, top)
         word = " ".join(rng.choice(names) for _ in range(length))
         middle = 1 if assoc else rng.randint(1, length)
-        c = rng.choice(COEFFS)
+        c = rng.choice(coeffs)
         sign = "-" if c.startswith("-") else "+"
         body = f"{c.lstrip('-')}*[{word}]@{middle}"
         out.append((sign if i or sign == "-" else "") + (" " if i else "") + body)
@@ -83,10 +86,15 @@ def named(rng) -> str:
             f"rel {literal(rng, names, rng.randint(2, 3), 3, False)}\nidrel lcomm\n")
 
 
-def calls(rng, files: list[str], named_path: str, out: str):
+def binary(rng) -> str:
+    """A seeded two-letter presentation over GF(2), all coefficients 1."""
+    return f"field gf 2\ngenerators a b\nrel {literal(rng, 'ab', 2, 3, False, ('1',))}\n"
+
+
+def calls(rng, files: list[str], named_path: str, binary_path: str, out: str):
     """The argv lists of the matrix; files are the generated presentations,
-    named_path the presentation over multi-character names, and out is the
-    path the --out calls write to."""
+    named_path the presentation over multi-character names, binary_path the
+    one over GF(2), and out is the path the --out calls write to."""
     for name in FIXTURES:
         path = fixture_path(name)
         for verb in ("basis", "growth", "gk"):
@@ -143,6 +151,9 @@ def calls(rng, files: list[str], named_path: str, out: str):
     for n in ("1200", "2100"):
         yield ["gk", free, "--mode", "assoc", "--max-degree", n]
     yield ["growth", free, "--mode", "assoc", "--max-degree", "20000", "--format", "csv"]
+    for path in (binary_path, named_path):
+        for fmt in ("text", "json"):
+            yield ["verify", path, "--max-degree", "4", "--format", fmt]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -171,8 +182,11 @@ def main(argv=None) -> int:
         named_path = os.path.join(tmp, "named.dpres")
         with open(named_path, "w", encoding="utf-8") as fh:
             fh.write(named(random.Random(f"named-{args.seed}")))
+        binary_path = os.path.join(tmp, "binary.dpres")
+        with open(binary_path, "w", encoding="utf-8") as fh:
+            fh.write(binary(random.Random(f"binary-{args.seed}")))
         out_path = os.path.join(tmp, "out.txt")
-        for call in calls(rng, files, named_path, out_path):
+        for call in calls(rng, files, named_path, binary_path, out_path):
             code, out, err = run(call)
             path = call[1]
             shown = " ".join(OUT_PLACEHOLDER if a == out_path else PLACEHOLDER if a == path
