@@ -9,8 +9,6 @@ compile it.
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
 from . import completion
 from .monomial import KeyCodec
 from .presentation import (
@@ -79,8 +77,9 @@ class TripleRows:
         return d, [(b - o, -c) for b, c in tail.items()]
 
     def _tensor(self, x: int):
-        """(d, [(key, c)]): the triple x as the sum of c*key over d, every
-        key a normal triple; None when x is one."""
+        """(d, [(key, c)]): the triple x as -sum(c*key)/d, every key a
+        normal triple, as completion.RuleRows._step writes a word; None
+        when x is one."""
         if x < self._flat:
             return None
         t, m, w = self._keys.split(x)
@@ -94,20 +93,7 @@ class TripleRows:
         du, us = us or (1, [(wu, 1)])
         dv, vs = vs or (1, [(wv, 1)])
         base = x - wu * step - wv
-        return du * dv, [(base + a * step + b, ca * cb) for a, ca in us for b, cb in vs]
-
-    def _normal_terms(self, terms) -> list:
-        """(key, c) pairs over normal triples with the span of the given
-        pairs, scaled to integers."""
-        parts, L = [], 1
-        for x, c in terms:
-            nf = self._tensor(x)
-            if nf is None:
-                parts.append((1, c, ((x, 1),)))
-            else:
-                L = lcm(L, nf[0])
-                parts.append((nf[0], c, nf[1]))
-        return [(y, c * (L // d) * cy) for d, c, ys in parts for y, cy in ys]
+        return du * dv, [(base + a * step + b, -ca * cb) for a, ca in us for b, cb in vs]
 
     def _triples(self, t: int) -> list[int] | range:
         """The normal triples of degree t, ascending: all its keys when t
@@ -143,19 +129,7 @@ class TripleRows:
         if row is not None:
             return row
         nf = self._tensor(x) if x < self._end else None
-        if nf is None:
-            return default
-        d, terms = nf
-        p = self._p
-        L, tail = _reduce_terms(terms, self._m, p)
-        if not tail:
-            return _KILLED
-        if p:
-            return 1, {y: -c % p for y, c in tail.items()}
-        # x - tail/(L*d), made primitive
-        d *= L
-        g = gcd(d, *tail.values())
-        return d // g, {y: -c // g for y, c in tail.items()}
+        return default if nf is None else completion._row(self._m, *nf, self._p)
 
     def __contains__(self, x) -> bool:
         # a pivot is a triple of M's or a key that is no normal triple
@@ -178,8 +152,8 @@ def _bimodule_rows(q: Presentation, keys: KeyCodec) -> TripleRows:
 
     A's rules to degree cap - 1 come first (completion._rule_rows).
     Degree by degree, M is then saturated on normal triples: every
-    candidate is written as a sum of nf(u) c nf(v) first, and only g |- .
-    and . -| g are applied, since the two middle-forgetting maps vanish on
+    candidate is read through the TripleRows, which write [u c v] as
+    nf(u) c nf(v), and only g |- . and . -| g are applied, since the two middle-forgetting maps vanish on
     M.  Scheme instances range over the normal triples M leaves in the
     basis.  Binomial q takes a union-find (_triple_congruence), other
     homogeneous q elimination (_triple_elimination).
@@ -211,7 +185,7 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
     keys, m, free = rows._keys, rows._m, rows._free
     p, cap, k = q.field.p, keys.cap, q.alphabet.size
     minus = -1 % p if p else -1
-    arows, aoff, pw = rows._arows, rows._aoff, rows._pow
+    pw = rows._pow
     short = keys.offset(free)  # below it, gu and vg are normal for every triple (u, c, v)
 
     def normal(x):
@@ -220,17 +194,6 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
         if nf is None:
             return x
         return nf[1][0][0] if nf[1] else None
-
-    def word(length, w):
-        """A's normal word of the word value w of that length, or None
-        for 0."""
-        if length < free:
-            return w
-        o = aoff[length]
-        row = arows.get(o + w)
-        if row is None:
-            return w
-        return next(iter(row[1])) - o if row[1] else None
 
     def images(x):
         """The normal triples (u, c, nf(vg)) of x -| g and (nf(gu), c, v) of
@@ -249,8 +212,11 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
                 b, n, step = wv * k + g, lv + 1, 1
             else:
                 b, n, step = (g - k) * pw[mid - 1] + wu, mid, k * pw[lv]
-            nb = word(n, b)
-            out.append(None if nb is None else y + (nb - b) * step)
+            nf = rows._side(n, b)  # A's normal form of that word: one word or 0
+            if nf is None:
+                out.append(y)
+            else:
+                out.append(y + (nf[1][0][0] - b) * step if nf[1] else None)
         return out
 
     def find(x):
@@ -325,7 +291,8 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
 
 def _triple_elimination(q: Presentation, rows: TripleRows) -> None:
     """M's rows for other homogeneous q, by elimination on normal
-    triples."""
+    triples: each candidate is reduced against rows itself, whose get
+    gives a triple that is not normal as its row reduced against M."""
     keys, m = rows._keys, rows._m
     p, cap, k = q.field.p, keys.cap, q.alphabet.size
 
@@ -347,7 +314,7 @@ def _triple_elimination(q: Presentation, rows: TripleRows) -> None:
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
                 pend[t].append(((m1, 1), (m2, -1)))
         for cand in pend[t]:
-            _, nf = _reduce_terms(rows._normal_terms(cand), m, p)
+            _, nf = _reduce_terms(cand, rows, p)
             if nf:
                 piv = _insert_row(m, users, nf, p)
                 if t < cap:

@@ -22,6 +22,20 @@ from .presentation import _KILLED, Presentation, _insert_row, _integer_terms, _r
 _NORMAL = object()
 
 
+def _row(rows, d: int, terms: list, p: int):
+    """The row x - nf(x) of x = -sum(c*key)/d over GF(p), p = 0 for Q,
+    with the terms reduced against rows: made primitive, or _KILLED when
+    x reduces to 0."""
+    L, tail = _reduce_terms(terms, rows, p)
+    if not tail:
+        return _KILLED
+    if p:
+        return 1, tail
+    d *= L
+    g = gcd(d, *tail.values())
+    return d // g, {y: c // g for y, c in tail.items()}
+
+
 class RuleRows:
     """The kernel rows {pivot: (d, tail)} of a homogeneous associative
     table, held as rewriting rules.  It answers get, in, basis_keys and
@@ -114,19 +128,6 @@ class RuleRows:
         shift = self._pow[i]
         return d, [(x + (y - lw) * shift, c) for y, c in tail.items()]
 
-    def _row(self, d: int, terms: list):
-        """The row x - nf(x) of x = -sum(c*key)/d, with every non-normal
-        key among terms already read."""
-        p = self._p
-        L, tail = _reduce_terms(terms, self, p)
-        if not tail:
-            return _KILLED
-        if p:
-            return 1, tail
-        d *= L
-        g = gcd(d, *tail.values())
-        return d // g, {y: c // g for y, c in tail.items()}
-
     def get(self, x: int, default=None):
         if not 0 <= x < self._end:
             return default
@@ -161,7 +162,8 @@ class RuleRows:
                         break
             else:
                 todo.pop()
-                memo[y] = self._row(d, terms)
+                # every key among terms is read, so no get below recurses
+                memo[y] = _row(self, d, terms, self._p)
         return memo[x]
 
     def __contains__(self, x) -> bool:

@@ -37,8 +37,8 @@ picks one (_saturation_rows):
 
 Truncation semantics matter.  A table reports degrees up to n.  The rows
 of homogeneous input up to degree n do not depend on later degrees, so its
-saturation stops at n whatever the slack; inhomogeneous input saturates to
-n + slack, and its rows past n are dropped.  A kept row never has a term
+slack is 0 whatever is asked; inhomogeneous input saturates to n + slack,
+and its rows past n are dropped.  A kept row never has a term
 beyond the cap (candidates that would are dropped whole), so every stored
 row really is an ideal element.  For inhomogeneous relators the computed
 span is therefore a lower bound on the ideal and the reported basis an
@@ -253,15 +253,17 @@ def associated_associative(pres: Presentation) -> Presentation:
 
 
 def _effective_slack(q: Presentation, explicit: int | None) -> int:
-    """Slack policy on the presentation a mode works on: explicit call
-    argument wins, homogeneous input needs 0, otherwise the file value,
-    otherwise the maximal term-length spread."""
-    if explicit is not None:
-        if explicit < 0:
-            raise ValueError("slack must be nonnegative")
-        return explicit
+    """The slack saturation uses on the presentation a mode works on: 0 for
+    homogeneous input, whose rows up to a degree do not depend on later
+    degrees, whatever is asked; otherwise the explicit call argument, the
+    file value, or the maximal term-length spread.  A negative explicit
+    slack is refused."""
+    if explicit is not None and explicit < 0:
+        raise ValueError("slack must be nonnegative")
     if q.homogeneous:
         return 0
+    if explicit is not None:
+        return explicit
     if q.slack is not None:
         return q.slack
     return q.length_spread()
@@ -740,19 +742,9 @@ class BasisTable:
         if run:
             yield run
 
-    def to_json_dict(self) -> dict:
-        basis = self._basis_keys()
-        return {
-            "mode": self.mode,
-            "degree_bound": self.degree_bound,
-            "homogeneous": self.homogeneous,
-            "slack": self.slack,
-            "basis": [*chain.from_iterable(self._literals((basis,)))],
-            "pivots": [*chain.from_iterable(self._literals(self._pivot_keys(basis)))],
-        }
-
     def json_chunks(self) -> Iterator[str]:
-        """canonical_json(self.to_json_dict()) in chunks, one per run of
+        """The table as canonical_json of its mode, degree_bound,
+        homogeneous, slack, basis and pivots, in chunks, one per run of
         literals, so neither list is held whole.  The materialize cap is
         checked before the first chunk."""
         basis = self._basis_keys()
@@ -789,8 +781,8 @@ def basis_upto(
 
     Works on pres itself in dialgebra mode and on its associative image in
     associative mode; the module docstring says which engine the input's
-    shape takes.  The table reports the effective slack, but only
-    inhomogeneous input saturates past n, to n + slack.  max_universe
+    shape takes.  It saturates to n + the slack _effective_slack gives,
+    which is 0 for homogeneous input, and reports that slack.  max_universe
     (default DEFAULT_UNIVERSE_CAP) bounds the monomials up to the degree
     saturated.
     """
@@ -799,8 +791,7 @@ def basis_upto(
     associative = mode == ASSOCIATIVE
     q = associated_associative(pres) if associative else pres
     eff = _effective_slack(q, slack)
-    # homogeneous rows up to degree n do not depend on later degrees
-    cap = n if q.homogeneous else n + eff
+    cap = n + eff
     saturate = bool(q.relators or q.schemes)
     # checked before any KeyCodec is built: it holds O(cap**2) bits
     total = universe_total(q.alphabet.size, cap, associative)

@@ -231,6 +231,33 @@ def test_basis_verb(capsys):
     assert out.splitlines()[-2:] == ["  [a a]@1", "  [a a]@2"]
 
 
+def test_slack_reports_what_saturation_used(capsys, tmp_path):
+    # homogeneous input saturates to the bound whatever slack is asked and
+    # reports the 0 it used: --slack changes no byte, and a slack line in
+    # the file changes only the fingerprint, which the file text sets
+    plain, lined = tmp_path / "plain.dpres", tmp_path / "lined.dpres"
+    plain.write_text("generators a b\nrel [b a]@1 - [a b]@1\n")
+    lined.write_text(plain.read_text() + "slack 3\n")
+    for verb in ("basis", "growth"):
+        for mode in (DIALGEBRA, "assoc"):
+            for fmt in ("text", "json"):
+                args = ("--max-degree", "3", "--mode", mode, "--format", fmt)
+                code, out, err = run(capsys, verb, str(plain), *args)
+                assert code == 0 and err == ""
+                assert run(capsys, verb, str(plain), *args, "--slack", "3") == (0, out, "")
+                code, got, _ = run(capsys, verb, str(lined), *args)
+                if verb == "basis":
+                    assert got == out
+                    assert ("slack: 0" in out.splitlines() if fmt == "text"
+                            else json.loads(out)["slack"] == 0)
+                elif fmt == "json":
+                    assert {**json.loads(got), "fingerprint": None} == {
+                        **json.loads(out), "fingerprint": None}
+                    assert got != out
+    code, out, err = run(capsys, "basis", str(plain), "--max-degree", "2", "--slack", "-1")
+    assert code == 1 and out == "" and err == "digrow: error: slack must be nonnegative\n"
+
+
 def test_verify_commutative_fixture(capsys):
     code, out, _ = run(capsys, "verify", COMM_AB, "--max-degree", "6")
     assert code == 0

@@ -135,7 +135,9 @@ def payload_sources() -> dict:
 
 @pytest.mark.parametrize("name", sorted(PAYLOAD_KEYS))
 def test_payload_keys_and_json_types(name):
-    payload = payload_sources()[name].to_json_dict()
+    obj = payload_sources()[name]
+    # a table's payload is its streamed export, read back
+    payload = json.loads(obj.to_json()) if name == "BasisTable" else obj.to_json_dict()
     assert set(payload) == PAYLOAD_KEYS[name]
     # lists, never tuples, at any depth: the payload is what JSON reads back
     assert payload == json.loads(canonical_json(payload))

@@ -7,6 +7,7 @@ live in the oracle-marked tests below.
 
 import argparse
 import io
+import json
 import random
 from collections import Counter
 from contextlib import redirect_stdout
@@ -139,10 +140,10 @@ def test_slack_policy():
     assert basis_upto(Presentation(AB, QQ, rel, slack=2), 2).slack == 2
     # an explicit argument wins over everything
     assert basis_upto(Presentation(AB, QQ, rel, slack=2), 2, slack=5).slack == 5
-    # homogeneous input never needs slack
+    # homogeneous input saturates with no slack, and reports the 0 it used
     comm = Presentation(AB, QQ, (), ("lcomm",), slack=3)
     assert basis_upto(comm, 2).slack == 0
-    assert basis_upto(comm, 2, slack=2).slack == 2
+    assert basis_upto(comm, 2, slack=2).slack == 0
     with pytest.raises(ValueError):
         basis_upto(comm, 2, slack=-1)
     with pytest.raises(ValueError):
@@ -484,7 +485,8 @@ def test_byte_store_reads_as_dict_store(pres, assoc, slack):
 
     q = associated_associative(pres) if assoc else pres
     n = {1: 6, 2: 4, 3: 3}[pres.alphabet.size]
-    keys = KeyCodec(q.alphabet, n + _effective_slack(q, slack), assoc)
+    keys = KeyCodec(q.alphabet, n + (_effective_slack(q, None) if slack is None else slack),
+                    assoc)
     ref = o_elimination_rows(q, keys)
     trimmed = {x: row for x, row in ref.items() if x < keys.offset(n + 1)}
     rows = _elimination_rows(q, keys)
@@ -665,10 +667,12 @@ def triple_binomial_presentations(draw):
 
 
 def table_from_rows(pres, n, slack, engine):
-    """The dialgebra table basis_upto(pres, n, slack=slack) reads, built
-    from the rows engine(pres, keys) stores, trimmed to degree n."""
+    """The dialgebra table basis_upto(pres, n, slack=slack) reads for
+    homogeneous pres, built from the rows engine(pres, keys) stores to
+    degree n + slack, trimmed to degree n; it reports slack 0, as
+    basis_upto does on homogeneous input."""
     keys = KeyCodec(pres.alphabet, n + slack)
-    return BasisTable(pres.alphabet, pres.field, DIALGEBRA, n, slack, True, pres.fingerprint,
+    return BasisTable(pres.alphabet, pres.field, DIALGEBRA, n, 0, True, pres.fingerprint,
                       keys, engine(pres, keys).below(n))
 
 
@@ -762,12 +766,13 @@ def homogeneous_presentations(draw):
 
 
 def associative_table_from_rows(pres, n, slack, engine):
-    """The associative table basis_upto(pres, n, ASSOCIATIVE, slack) reads,
-    built from the rows engine(q, keys) stores for the associative image q,
-    trimmed to degree n."""
+    """The associative table basis_upto(pres, n, ASSOCIATIVE, slack) reads
+    for homogeneous pres, built from the rows engine(q, keys) stores for
+    the associative image q to degree n + slack, trimmed to degree n; it
+    reports slack 0, as basis_upto does on homogeneous input."""
     q = associated_associative(pres)
     keys = KeyCodec(pres.alphabet, n + slack, True)
-    return BasisTable(pres.alphabet, pres.field, ASSOCIATIVE, n, slack, True, pres.fingerprint,
+    return BasisTable(pres.alphabet, pres.field, ASSOCIATIVE, n, 0, True, pres.fingerprint,
                       keys, engine(q, keys).below(n))
 
 
@@ -975,7 +980,8 @@ def test_free_basis_example():
 
 def test_slack_independence_for_homogeneous_fixtures(monkeypatch):
     # rows up to degree n of homogeneous input do not depend on later
-    # degrees: an explicit slack is reported, and nothing past n is built
+    # degrees: an explicit slack builds nothing past n, and the table
+    # reports the slack 0 it used
     n = 5
     dense_cross = Presentation(AB, GF7, dense(GF7).relators, ("cross",))
     homogeneous = [fixture(name) for name in ("comm_ab", "comm_a", "middle_cap_a", "zero_a")]
@@ -986,11 +992,11 @@ def test_slack_independence_for_homogeneous_fixtures(monkeypatch):
             assert calls[:1] in ([], [("rule" if mode == ASSOCIATIVE else "bimodule", n)])
             for slack in (1, 3):
                 table, got = engine_caps(monkeypatch, pres, n, mode, slack=slack)
-                assert got == calls and table.slack == slack and table.exact
+                assert got == calls and table.slack == 0 and table.exact
                 assert table.counts_by_degree() == ref.counts_by_degree()
                 assert table.basis == ref.basis and table.pivots == ref.pivots
                 assert table.rows == ref.rows
-                assert {**table.to_json_dict(), "slack": 0} == ref.to_json_dict()
+                assert table.to_json() == ref.to_json()
         # inhomogeneous input still saturates to n + slack
         inhomog = fixture("inhomog_ab") if mode == DIALGEBRA else Presentation(
             AB, QQ, (E("[a b]@1 - [a]@1"),))
@@ -1205,7 +1211,7 @@ def test_literals_match_monomial_format(pres, names, mode, slack, n, run):
 @given(*TABLE_DRAWS)
 def test_exports_match_their_formulas(pres, names, mode, slack, n, run):
     # the streamed exports are byte for byte the one-piece formulas:
-    # canonical_json of to_json_dict, and the text lines of basis joined
+    # canonical_json of the parsed export, and the text lines of basis joined
     pres = renamed(pres, names)
     table = basis_upto(pres, n, mode, slack=slack)
     texts = []
@@ -1216,7 +1222,8 @@ def test_exports_match_their_formulas(pres, names, mode, slack, n, run):
             with redirect_stdout(io.StringIO()) as out:
                 assert cmd_basis(args, pres) == 0
             texts.append(out.getvalue())
-    assert "".join(chunks) == table.to_json() == canonical_json(table.to_json_dict()) == texts[0]
+    s = table.to_json()
+    assert "".join(chunks) == s == canonical_json(json.loads(s)) == texts[0]
     # three fixed pieces, and one chunk per run of each list
     assert len(chunks) == 3 + -(len(table._basis_keys()) // -run) + -(len(table.pivots) // -run)
     lines = [
@@ -1321,7 +1328,7 @@ def test_large_tables_refuse_pivots_and_rows_as_basis():
     # materialize cap just as basis does
     table = basis_upto(Presentation(AB, QQ, (E("[b]@1"),)), 60, max_universe=10**40)
     for read in (lambda: table.basis, lambda: table.pivots, lambda: table.rows,
-                 table.to_json_dict):
+                 table.to_json):
         with pytest.raises(ResourceCapExceeded, match="materializing the basis up to degree 60"):
             read()
 
@@ -1330,7 +1337,7 @@ def test_tables_are_deterministic():
     a = basis_upto(fixture("comm_ab"), 4)
     b = basis_upto(fixture("comm_ab"), 4)
     assert a.to_json() == b.to_json()
-    d = a.to_json_dict()
+    d = json.loads(a.to_json())
     assert set(d) == {"mode", "degree_bound", "homogeneous", "slack", "basis", "pivots"}
     assert d["mode"] == DIALGEBRA and d["degree_bound"] == 4
     assert d["homogeneous"] is True and d["slack"] == 0
