@@ -179,8 +179,8 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
     GF(p)), or _KILLED for every member of a killed class.  Classes at
     degree t come from the images of the rows at degree t - 1, read back
     from M, the relators of length t and the scheme instances of total
-    degree t.  Up to degree rows._free every triple is normal, and a
-    triple's position among them is its offset in the degree.
+    degree t.  The union-find holds only the triples these touch: any
+    other triple is a class of its own, a basis key with no row.
     """
     keys, m, free = rows._keys, rows._m, rows._free
     p, cap, k = q.field.p, keys.cap, q.alphabet.size
@@ -220,23 +220,25 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
         return out
 
     def find(x):
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
     def join(a, b):
         # a = b for normal triples a, b, either of them None for 0; a class
-        # is rooted at its smallest position, and keeps the kill of either side
+        # is rooted at its smallest triple, and keeps the kill of either side
         if a is None or b is None:
             if a is not None or b is not None:
-                killed[find(pos(b if a is None else a))] = 1
+                killed.add(find(b if a is None else a))
             return
-        a, b = find(pos(a)), find(pos(b))
+        a, b = find(a), find(b)
         if a != b:
             if a > b:
                 a, b = b, a
             parent[b] = a
-            killed[a] |= killed[b]
+            if b in killed:
+                killed.add(a)
 
     relators: dict[int, list] = {}
     for r in q.relators:
@@ -244,20 +246,14 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
         if t <= cap:
             relators.setdefault(t, []).append([normal(keys.encode(x)) for x in r.terms])
     basis: dict[int, list] = {}  # degree -> split basis keys, for scheme instances
-    prev: list[int] | range = []
+    prev: list[int] = []  # the triples of degree t - 1 that have a row
     dead = [None] * (2 * k)  # the images of a killed triple
     for t in range(1, cap + 1):
-        members = rows._triples(t)
-        if t <= free:  # all keys of the degree, each at its offset
-            pos = members.start.__rsub__
-        else:
-            pos = {x: i for i, x in enumerate(members)}.__getitem__
-        parent, killed = list(range(len(members))), bytearray(len(members))
+        parent: dict = {}  # an absent triple is its own root
+        killed: set = set()  # roots of killed classes
         root_images: dict = {}
         for x in prev:
-            row = m.get(x)
-            if row is None:  # a root: its class's other members carry the edges
-                continue
+            row = m[x]
             if row is _KILLED:
                 ys = dead
             else:
@@ -270,23 +266,26 @@ def _triple_congruence(q: Presentation, rows: TripleRows) -> None:
         for terms in relators.get(t, ()):
             join(terms[0], terms[-1] if len(terms) == 2 else None)
         if q.schemes:
-            basis[t - 1] = [keys.split(x) for x in prev if x not in m]
+            basis[t - 1] = [keys.split(x) for x in rows.basis_keys(keys.offset(t - 1),
+                                                                   keys.offset(t))]
             for m1, m2 in _scheme_instances(q.schemes, keys, t, basis):
                 if t > free:
                     m1, m2 = normal(m1), normal(m2)
                 join(m1, m2)
-        # a root is its class's smallest key, so its row exists before any
-        # other member comes up
+        # a root is its class's smallest triple, so its row exists before
+        # any other member comes up
         shared: dict = {}
-        for i, x in enumerate(members):
-            r = find(i)
-            if killed[r]:
+        prev = []
+        for x in sorted(parent):
+            r = find(x)
+            if r in killed:
                 m[x] = _KILLED
-            elif r != i:
+            elif r != x:
                 m[x] = shared[r]
             else:
                 shared[r] = (1, {x: minus})
-        prev = members
+                continue
+            prev.append(x)
 
 
 def _triple_elimination(q: Presentation, rows: TripleRows) -> None:

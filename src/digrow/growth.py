@@ -387,15 +387,21 @@ def identity_class_check(pres: Presentation, table_d: BasisTable) -> IdentityCla
     n = table_d.degree_bound
     keys = table_d._keys
     basis = table_d._basis_keys()
-    split = [keys.split(x) for x in basis]
+    split: list = []  # the split keys of basis, as far as the pairs have read
     holds = {tag: True for tag in SCHEME_TAGS}
     witnesses: dict = {}
     pairs_checked = 0
     exhaustive = True
 
     def pairs(reflexive):
-        for i, (l1, _, _) in enumerate(split):
-            for j in range(i if reflexive else i + 1, len(split)):
+        # i and j never pass the end of split, so one append keeps it filled
+        for i in range(len(basis)):
+            if i == len(split):
+                split.append(keys.split(basis[i]))
+            l1 = split[i][0]
+            for j in range(i if reflexive else i + 1, len(basis)):
+                if j == len(split):
+                    split.append(keys.split(basis[j]))
                 # the basis ascends by length, so no later v fits either
                 if l1 + split[j][0] > n:
                     break

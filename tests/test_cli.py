@@ -634,6 +634,36 @@ def test_triple_tables_reach_degree_16():
     assert used - bare < 40 * 1024, (bare, used)
 
 
+def test_triple_union_find_holds_only_touched_triples(tmp_path):
+    # with a^3 = 0 in A_D there are 379,584 normal triples at degree 16,
+    # and M has 27,820 rows there; a union-find over every normal triple
+    # of a degree peaked about 220 MiB above a bare import
+    path = tmp_path / "cube.dpres"
+    path.write_text("generators a b\nrel [a a a]@1\n", encoding="utf-8")
+    _, bare = child_peak("import digrow.cli")
+    out, used = child_peak(f"from digrow.cli import main\n"
+                           f"main(['growth', {str(path)!r}, '--force', '--max-degree', '16', "
+                           f"'--format', 'json'])")
+    assert out == (
+        '{"cumulative":[2,10,33,90,222,515,1146,2476,5234,10880,22319,45298,91130,181989,'
+        '361172,712936],"degree_bound":16,"exact":true,"fingerprint":"6adde2b31b84",'
+        '"mode":"dialgebra","per_degree":[2,8,23,57,132,293,631,1330,2758,5646,11439,22979,'
+        '45832,90859,179183,351764],"warnings":[]}\n')
+    assert used - bare < 24 * 1024, (bare, used)
+
+
+def test_identity_scan_splits_only_the_keys_it_reads():
+    # free_ab's scan stops after 3 pairs; splitting all 917,506 basis
+    # keys first peaked about 91 MiB above a bare import
+    _, bare = child_peak("import digrow.cli")
+    out, used = child_peak(f"from digrow.cli import main\n"
+                           f"main(['verify', {FREE_AB!r}, '--force', '--max-degree', '15', "
+                           f"'--format', 'json'])")
+    assert hashlib.sha256(out.replace(FREE_AB, "<FILE>").encode()).hexdigest() == (
+        "2b2a3bece54361de88496489a70894afffe770f0590ddf46b958c8dfeab8ed6b")
+    assert used - bare < 8 * 1024, (bare, used)
+
+
 def test_killed_keys_cost_no_row():
     # the relator puts b in the ideal, so elimination kills 425,776 of the
     # 425,867 pivots of inhomog_ab up to its cap 14; each costs one byte,

@@ -23,7 +23,7 @@ def digest_tail(script, *args):
 
 def test_cli_digest():
     assert digest_tail("cli_digest.py") == [
-        "702 calls", "2a48f38605025fc98168a956841021e43f1756ba56575922fe58e20dc48300d3"]
+        "704 calls", "b8b40328a19ea2db5aac00aa4d4c5905ace1a827e38705704887f6f83b9009bd"]
 
 
 def test_rows_digest():

@@ -22,7 +22,10 @@ Runs `digrow.cli.main` in process on
   (csv), whose counts have more digits than str() converts;
 - verify, text and json, at n = 4 on a seeded two-letter presentation over
   GF(2) and on the three-letter one above, so that with the fixtures the
-  axiom check draws over 1, 2 and 3 letters with p = 0, 2 and 7.
+  axiom check draws over 1, 2 and 3 letters with p = 0, 2 and 7;
+- growth on generators a b with the one relator [a a a]@1 at n = 10 in
+  both modes, whose A_D has many normal triples that the union-find of
+  the triple engine never touches.
 
 Every call adds its argv, exit code, stdout and stderr to one sha256, with
 input paths replaced by a placeholder (`verify --format json` echoes the
@@ -91,10 +94,11 @@ def binary(rng) -> str:
     return f"field gf 2\ngenerators a b\nrel {literal(rng, 'ab', 2, 3, False, ('1',))}\n"
 
 
-def calls(rng, files: list[str], named_path: str, binary_path: str, out: str):
+def calls(rng, files: list[str], named_path: str, binary_path: str, cube_path: str, out: str):
     """The argv lists of the matrix; files are the generated presentations,
     named_path the presentation over multi-character names, binary_path the
-    one over GF(2), and out is the path the --out calls write to."""
+    one over GF(2), cube_path the one with the relator [a a a]@1, and out
+    is the path the --out calls write to."""
     for name in FIXTURES:
         path = fixture_path(name)
         for verb in ("basis", "growth", "gk"):
@@ -154,6 +158,8 @@ def calls(rng, files: list[str], named_path: str, binary_path: str, out: str):
     for path in (binary_path, named_path):
         for fmt in ("text", "json"):
             yield ["verify", path, "--max-degree", "4", "--format", fmt]
+    for mode in MODES:
+        yield ["growth", cube_path, "--max-degree", "10", "--mode", mode]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -185,8 +191,11 @@ def main(argv=None) -> int:
         binary_path = os.path.join(tmp, "binary.dpres")
         with open(binary_path, "w", encoding="utf-8") as fh:
             fh.write(binary(random.Random(f"binary-{args.seed}")))
+        cube_path = os.path.join(tmp, "cube.dpres")
+        with open(cube_path, "w", encoding="utf-8") as fh:
+            fh.write("generators a b\nrel [a a a]@1\n")
         out_path = os.path.join(tmp, "out.txt")
-        for call in calls(rng, files, named_path, binary_path, out_path):
+        for call in calls(rng, files, named_path, binary_path, cube_path, out_path):
             code, out, err = run(call)
             path = call[1]
             shown = " ".join(OUT_PLACEHOLDER if a == out_path else PLACEHOLDER if a == path
